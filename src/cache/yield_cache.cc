@@ -199,10 +199,10 @@ yieldKey(const arch::Architecture &arch,
     enc.u64(options.seed);
     enc.u8(options.collect_condition_stats ? 1 : 0);
     encodeCollisionModel(enc, options.model);
-    // The *resolved* scheme: QPAD_RNG_V1 changes the drawn numbers,
-    // so it must change the key. options.exec never does (the
-    // runtime contract) and is excluded.
-    enc.u8(uint8_t(resolveRngScheme(options.rng_scheme)));
+    // The draw order changes the drawn numbers, so it must change
+    // the key. options.exec never does (the runtime contract) and is
+    // excluded.
+    enc.u8(kDrawOrderVersion);
     return enc.digest();
 }
 
@@ -221,7 +221,7 @@ freqAllocKey(const arch::Architecture &arch,
     encodeCollisionModel(enc, options.model);
     enc.u64(options.seed);
     enc.u32(options.refine_sweeps);
-    enc.u8(uint8_t(resolveRngScheme(options.rng_scheme)));
+    enc.u8(kDrawOrderVersion);
     return enc.digest();
 }
 

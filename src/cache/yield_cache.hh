@@ -8,10 +8,10 @@
  * (see cache/fingerprint.hh): estimateYield and allocateFrequencies
  * are bit-identical across thread counts by the qpad::runtime
  * contract, so runtime::Options is deliberately *excluded* from the
- * keys, while the resolved RngScheme (which does change the drawn
- * numbers) is included. Cache-on is therefore bit-identical to
- * cache-off by construction — a hit returns exactly the bytes a miss
- * would have computed.
+ * keys, while the draw-order version kDrawOrderVersion (which does
+ * change the drawn numbers) is included. Cache-on is therefore
+ * bit-identical to cache-off by construction — a hit returns exactly
+ * the bytes a miss would have computed.
  *
  * The global store is configured from the environment on first use:
  *   QPAD_CACHE=0       disable memoization entirely

@@ -1,7 +1,5 @@
 #include "common/gauss_block.hh"
 
-#include <cstdlib>
-
 #include "common/rng.hh"
 
 #ifdef __AVX2__
@@ -685,13 +683,6 @@ GaussianBlockSampler::fillAffine(double *out, const double *means,
                  storeD(out + r * kLanes,
                         vadd(splat(means[r]), vmul(vs, z)));
              });
-}
-
-RngScheme
-resolveRngScheme(RngScheme requested)
-{
-    const char *env = std::getenv("QPAD_RNG_V1");
-    return env && *env ? RngScheme::kV1 : requested;
 }
 
 } // namespace qpad

@@ -8,6 +8,7 @@
 #include <limits>
 #include <queue>
 
+#include "common/gauss_block.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "yield/collision_batch.hh"
@@ -160,8 +161,8 @@ allocateFrequencies(const Architecture &arch,
     auto optimize = [&](PhysQubit q) -> std::pair<double, double> {
         // Zero trials give no evidence to rank candidates (and would
         // make every score 0/0 = NaN, breaking the argmax): keep the
-        // band middle with the same zero score the yield simulators
-        // report for zero-trial runs.
+        // band middle with the same zero score estimateYield reports
+        // for zero-trial runs.
         if (options.local_trials == 0)
             return {mid, 0.0};
         LocalTerms terms = buildLocalTerms(arch, q, assigned);
@@ -196,13 +197,13 @@ allocateFrequencies(const Architecture &arch,
         const std::size_t trials = options.local_trials;
         std::vector<double> post(trials * n_inv);
         std::vector<double> q_noise(trials);
-        if (resolveRngScheme(options.rng_scheme) == RngScheme::kV2) {
-            // v2 lane order: one rng.next() seeds a lane sampler;
-            // trial t of each 8-trial block is lane t % 8, reading
-            // its involved-qubit deviates and then its candidate
-            // noise. The trailing block discards the unused lanes —
-            // they are independent streams, so the kept draws are
-            // the same for every `trials` remainder.
+        // Lane draw order: one rng.next() seeds a lane sampler;
+        // trial t of each 8-trial block is lane t % 8, reading its
+        // involved-qubit deviates and then its candidate noise. The
+        // trailing block discards the unused lanes — they are
+        // independent streams, so the kept draws are the same for
+        // every `trials` remainder.
+        {
             constexpr std::size_t B = GaussianBlockSampler::kLanes;
             GaussianBlockSampler sampler(rng.next());
             std::vector<double> means(n_inv + 1);
@@ -220,14 +221,6 @@ allocateFrequencies(const Architecture &arch,
                         row[idx] = z[idx * B + l];
                     q_noise[t0 + l] = z[n_inv * B + l];
                 }
-            }
-        } else {
-            for (std::size_t t = 0; t < trials; ++t) {
-                double *row = &post[t * n_inv];
-                for (std::size_t idx = 0; idx < n_inv; ++idx)
-                    row[idx] = result.freqs[terms.involved[idx]] +
-                               rng.gaussian(0.0, options.sigma_ghz);
-                q_noise[t] = rng.gaussian(0.0, options.sigma_ghz);
             }
         }
 

@@ -5,6 +5,7 @@
 
 #include "arch/ibm.hh"
 #include "cache/yield_cache.hh"
+#include "common/gauss_block.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "profile/coupling.hh"
@@ -48,8 +49,8 @@ encodeMeasureInputs(cache::Encoder &enc,
     enc.u64(yo.seed);
     enc.u8(yo.collect_condition_stats ? 1 : 0);
     cache::encodeCollisionModel(enc, yo.model);
-    // Resolved: QPAD_RNG_V1 changes the drawn numbers.
-    enc.u8(uint8_t(resolveRngScheme(yo.rng_scheme)));
+    // The draw order changes the drawn numbers.
+    enc.u8(kDrawOrderVersion);
     enc.u8(options.adaptive_yield_trials ? 1 : 0);
     enc.u64(options.max_yield_trials);
 }
@@ -104,7 +105,7 @@ flowPointKey(const benchmarks::BenchmarkInfo &info,
     cache::encodeCollisionModel(enc, fo.model);
     enc.u64(fo.seed);
     enc.u32(fo.refine_sweeps);
-    enc.u8(uint8_t(resolveRngScheme(fo.rng_scheme)));
+    enc.u8(kDrawOrderVersion);
     encodeMeasureInputs(enc, info, circuit, options);
     return enc.digest();
 }

@@ -11,14 +11,14 @@
  * Rng::childSeed in common/rng.hh.
  *
  * The splitting is applied at two levels. Shard level: chunk c of a
- * Monte Carlo run draws from child stream c of the user seed (both
- * draw schemes, see RngScheme in common/gauss_block.hh). Lane
- * level, v2 only: within a shard, the GaussianBlockSampler seeded
- * with childSeed(user_seed, c) derives its eight generator lanes as
- * child streams 0..7 of *that* child seed. The nesting keeps every
- * lane a pure function of (user seed, chunk, lane), so v2 inherits
- * the same thread-count independence the shard scheme provides —
- * the child seeds are hashed twice through SplitMix64, making
+ * Monte Carlo run draws from child stream c of the user seed. Lane
+ * level: within a shard, the GaussianBlockSampler seeded with
+ * childSeed(user_seed, c) derives its eight generator lanes as child
+ * streams 0..7 of *that* child seed (the draw order of
+ * common/gauss_block.hh). The nesting keeps every lane a pure
+ * function of (user seed, chunk, lane), so the lane draws inherit the
+ * thread-count independence the shard scheme provides — the child
+ * seeds are hashed twice through SplitMix64, making
  * shard-stream/lane-stream collisions as unlikely as any other
  * 64-bit seed collision.
  */
@@ -46,12 +46,6 @@ class SeedSequence
     uint64_t childSeed(uint64_t stream) const
     {
         return Rng::childSeed(base_, stream);
-    }
-
-    /** Generator seeded for stream `stream`. */
-    Rng childRng(uint64_t stream) const
-    {
-        return Rng(childSeed(stream));
     }
 
   private:

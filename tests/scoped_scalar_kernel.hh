@@ -3,9 +3,9 @@
  * Test helpers: force an environment flag for one scope.
  *
  * The variables may be set externally (the CI sanitize job runs
- * whole test binaries under QPAD_SCALAR_KERNEL=1 and QPAD_RNG_V1=1);
- * clobbering one would silently change behaviour for the remaining
- * tests, so the destructor restores the exact prior value.
+ * whole test binaries under QPAD_SCALAR_KERNEL=1); clobbering one
+ * would silently change behaviour for the remaining tests, so the
+ * destructor restores the exact prior value.
  */
 
 #ifndef QPAD_TESTS_SCOPED_SCALAR_KERNEL_HH
@@ -50,13 +50,6 @@ class ScopedScalarKernel : public ScopedEnv
 {
   public:
     ScopedScalarKernel() : ScopedEnv("QPAD_SCALAR_KERNEL", "1") {}
-};
-
-/** Forces the legacy v1 draw scheme for one scope. */
-class ScopedRngV1 : public ScopedEnv
-{
-  public:
-    ScopedRngV1() : ScopedEnv("QPAD_RNG_V1", "1") {}
 };
 
 } // namespace qpad::test

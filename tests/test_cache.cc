@@ -159,17 +159,20 @@ TEST(Fingerprint, YieldKeyTracksOptionsButNotExec)
     yield::YieldOptions model = base;
     model.model.thr1 = 0.018;
     EXPECT_NE(k0, cache::yieldKey(arch, model));
+}
 
-    yield::YieldOptions v1 = base;
-    v1.rng_scheme = RngScheme::kV1;
-    if (resolveRngScheme(RngScheme::kV2) == RngScheme::kV2) {
-        EXPECT_NE(k0, cache::yieldKey(arch, v1))
-            << "the draw scheme changes the sampled numbers";
-    } else {
-        // Under QPAD_RNG_V1 both requests resolve to the same v1
-        // stream, so they *must* share a key.
-        EXPECT_EQ(k0, cache::yieldKey(arch, v1));
-    }
+TEST(Fingerprint, KeysArePinnedAcrossReleases)
+{
+    // Persistent QPAD_CACHE_DIR logs outlive the process that wrote
+    // them: an unintended change to any key encoder silently turns
+    // every stored entry into a miss. Changing these constants is a
+    // deliberate cache invalidation.
+    const auto arch = arch::ibm16Q(false);
+    EXPECT_EQ(cache::yieldKey(arch, yield::YieldOptions{}).hex(),
+              "1e85c94f65d8c8afc14671334d1bcb45");
+    EXPECT_EQ(
+        cache::freqAllocKey(arch, design::FreqAllocOptions{}).hex(),
+        "2581e1dab48d4df348fae8b6f590adf3");
 }
 
 TEST(Fingerprint, SerializeRoundTripPreservesFingerprint)

@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "arch/ibm.hh"
+#include "common/rng.hh"
 #include "scoped_scalar_kernel.hh"
 #include "yield/yield_sim.hh"
 
@@ -238,14 +239,6 @@ TEST(YieldSim, RequiresAssignedFrequencies)
     EXPECT_THROW(estimateYield(arch, {}), std::logic_error);
 }
 
-TEST(LocalSim, EmptyTermsYieldOne)
-{
-    LocalYieldSimulator sim({}, {}, kModel, {});
-    Rng rng(1);
-    std::vector<double> freqs = {5.1};
-    EXPECT_DOUBLE_EQ(sim.simulate(freqs, 0.03, 100, rng), 1.0);
-}
-
 TEST(YieldSim, ZeroTrialsReturnZeroTrialResult)
 {
     Architecture arch(Layout::grid(1, 3));
@@ -277,59 +270,6 @@ TEST(YieldSim, ScalarKernelEnvIsBitIdentical)
     }
     EXPECT_EQ(batched.successes, scalar.successes);
     EXPECT_DOUBLE_EQ(batched.yield, scalar.yield);
-}
-
-TEST(LocalSim, ZeroTrialsReturnZero)
-{
-    Architecture arch(Layout::grid(1, 2));
-    CollisionChecker checker(arch);
-    LocalYieldSimulator sim(checker.pairs(), checker.triples(), kModel,
-                            {0, 1});
-    Rng rng(9);
-    std::vector<double> freqs = {5.08, 5.17};
-    EXPECT_DOUBLE_EQ(sim.simulate(freqs, 0.03, 0, rng), 0.0);
-    EXPECT_DOUBLE_EQ(sim.simulate(freqs, 0.03, 0, 42, {}), 0.0);
-}
-
-TEST(LocalSim, ScalarKernelEnvIsBitIdentical)
-{
-    auto arch = arch::ibm16Q(false);
-    CollisionChecker checker(arch);
-    std::vector<arch::PhysQubit> involved(arch.numQubits());
-    std::iota(involved.begin(), involved.end(), 0u);
-    LocalYieldSimulator sim(checker.pairs(), checker.triples(), kModel,
-                            involved);
-    // Equal fresh generators, 1003 trials (remainder batch of 3).
-    Rng r1(3), r2(3);
-    const double batched =
-        sim.simulate(arch.frequencies(), 0.03, 1003, r1);
-    double scalar;
-    {
-        ScopedScalarKernel forced;
-        scalar = sim.simulate(arch.frequencies(), 0.03, 1003, r2);
-    }
-    EXPECT_DOUBLE_EQ(batched, scalar);
-}
-
-TEST(LocalSim, MatchesGlobalOnTinyChip)
-{
-    // On a 2-qubit chip the local region of the pair IS the chip,
-    // so local and global simulations must agree statistically.
-    Architecture arch(Layout::grid(1, 2));
-    arch.setAllFrequencies({5.08, 5.17});
-    CollisionChecker checker(arch);
-
-    YieldOptions opts;
-    opts.trials = 40000;
-    opts.seed = 5;
-    double global = estimateYield(arch, opts).yield;
-
-    LocalYieldSimulator sim(checker.pairs(), checker.triples(), kModel,
-                            {0, 1});
-    Rng rng(6);
-    double local =
-        sim.simulate(arch.frequencies(), opts.sigma_ghz, 40000, rng);
-    EXPECT_NEAR(local, global, 0.01);
 }
 
 // --------------------------------------------------------------------

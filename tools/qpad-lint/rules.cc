@@ -544,9 +544,9 @@ RuleRunner::ruleRngDrawSite()
                 (fn.empty() ? std::string("file scope")
                             : "'" + fn + "'") +
                 ", which is not a sanctioned helper: a new draw site "
-                "changes draw consumption — bump RngScheme and add "
-                "the helper to [rng] sanctioned, or suppress with a "
-                "justification");
+                "changes draw consumption — bump kDrawOrderVersion "
+                "and add the helper to [rng] sanctioned, or suppress "
+                "with a justification");
     }
 }
 

@@ -17,8 +17,8 @@
  *                         versioned paths (src/yield/, freq_alloc,
  *                         gauss_block) outside sanctioned helpers —
  *                         a new draw site is a draw-consumption
- *                         change and must bump RngScheme or justify
- *                         itself
+ *                         change and must bump kDrawOrderVersion or
+ *                         justify itself
  *   unordered-iter        range-for / .begin() iteration over
  *                         std::unordered_{map,set} in files whose
  *                         output order matters (reports,
