@@ -109,8 +109,10 @@ main(int argc, char **argv)
             if (!suiteSelected(info.name))
                 continue;
             auto experiment = eval::runBenchmark(info, options, ctx);
-            cache_hits += experiment.cache_stats.hits;
-            cache_misses += experiment.cache_stats.misses;
+            cache_hits += std::size_t(
+                obs::valueOf(experiment.metrics, "cache.hits"));
+            cache_misses += std::size_t(
+                obs::valueOf(experiment.metrics, "cache.misses"));
             if (!csv_only)
                 eval::printExperiment(std::cout, experiment);
             if (csv) {

@@ -192,24 +192,30 @@ runSweepCsv(bool expect_warm, bench::BenchJson *json)
         benchmarks::getBenchmark("sym6_145"), opts);
     eval::printExperimentCsv(std::cout, exp, true);
 
-    const auto &cs = exp.cache_stats;
+    // Counters are this run's deltas; bytes and entries the global
+    // store's residency after it.
+    const auto moved = [&](const char *counter) {
+        return (unsigned long long)obs::valueOf(exp.metrics, counter);
+    };
+    const unsigned long long hits = moved("cache.hits");
+    const unsigned long long misses = moved("cache.misses");
+    const unsigned long long inserts = moved("cache.inserts");
+    const unsigned long long evictions = moved("cache.evictions");
+    const cache::StoreStats residency = cache::globalCacheStats();
     std::fprintf(stderr,
                  "qpad-cache: hits=%llu misses=%llu inserts=%llu "
                  "evictions=%llu bytes=%llu entries=%llu "
                  "lock_waits=%llu lock_timeouts=%llu "
                  "compactions=%llu persistence_lost=%llu\n",
-                 (unsigned long long)cs.hits,
-                 (unsigned long long)cs.misses,
-                 (unsigned long long)cs.inserts,
-                 (unsigned long long)cs.evictions,
-                 (unsigned long long)cs.bytes,
-                 (unsigned long long)cs.entries,
-                 (unsigned long long)cs.lock_waits,
-                 (unsigned long long)cs.lock_timeouts,
-                 (unsigned long long)cs.compactions,
-                 (unsigned long long)cs.persistence_lost);
+                 hits, misses, inserts, evictions,
+                 (unsigned long long)residency.bytes,
+                 (unsigned long long)residency.entries,
+                 moved("cache.lock_waits"),
+                 moved("cache.lock_timeouts"),
+                 moved("cache.compactions"),
+                 moved("cache.persistence_lost"));
     int rc = 0;
-    if (expect_warm && cs.hits == 0) {
+    if (expect_warm && hits == 0) {
         std::fprintf(stderr, "FAIL: expected a warm cache (nonzero "
                              "hit rate) on this pass\n");
         rc = 1;
@@ -217,12 +223,12 @@ runSweepCsv(bool expect_warm, bench::BenchJson *json)
     if (json) {
         json->config("sweep", true);
         json->config("expect_warm", expect_warm);
-        json->metric("hits", std::uint64_t(cs.hits));
-        json->metric("misses", std::uint64_t(cs.misses));
-        json->metric("inserts", std::uint64_t(cs.inserts));
-        json->metric("evictions", std::uint64_t(cs.evictions));
-        json->metric("bytes", std::uint64_t(cs.bytes));
-        json->metric("entries", std::uint64_t(cs.entries));
+        json->metric("hits", std::uint64_t(hits));
+        json->metric("misses", std::uint64_t(misses));
+        json->metric("inserts", std::uint64_t(inserts));
+        json->metric("evictions", std::uint64_t(evictions));
+        json->metric("bytes", std::uint64_t(residency.bytes));
+        json->metric("entries", std::uint64_t(residency.entries));
         json->metric("cache_ok", rc == 0);
     }
     return rc;

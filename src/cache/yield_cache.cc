@@ -9,6 +9,7 @@
 
 #include "common/gauss_block.hh"
 #include "common/logging.hh"
+#include "obs/log.hh"
 
 namespace qpad::cache
 {
@@ -254,7 +255,8 @@ cachedEstimateYield(const arch::Architecture &arch,
     // Undecodable bytes (corrupt disk record or a 128-bit key
     // collision): recompute and overwrite, exactly as a plain miss
     // would have.
-    qpad_warn("cache: dropping undecodable yield record ", key.hex());
+    obs::logWarn("cache.record_dropped",
+                 {{"kind", "yield"}, {"key", key.hex()}});
     result = yield::estimateYield(arch, options, ctx);
     store.put(key, encodeYieldResult(result));
     return result;
@@ -280,8 +282,8 @@ cachedAllocateFrequencies(const arch::Architecture &arch,
     design::FreqAllocResult result;
     if (decodeFreqAllocResult(blob, arch.numQubits(), result))
         return result;
-    qpad_warn("cache: dropping undecodable freq-alloc record ",
-              key.hex());
+    obs::logWarn("cache.record_dropped",
+                 {{"kind", "freq_alloc"}, {"key", key.hex()}});
     result = design::allocateFrequencies(arch, options, ctx);
     store.put(key, encodeFreqAllocResult(result));
     return result;

@@ -1,20 +1,15 @@
 /**
  * @file
- * Legacy status-message and error-reporting macros.
+ * Error-reporting macros.
  *
  * Follows the gem5 convention: panic() for internal invariant
  * violations (library bugs), fatal() for user errors that make
- * continuing impossible, warn()/inform() for non-fatal diagnostics.
- *
- * These are now thin shims over the structured logger (obs/log.hh):
- * every macro forwards to obs::log as a `log.*` event (honouring
- * QPAD_LOG destination/format/level and carrying the current request
- * id), and panic/fatal still throw std::logic_error /
- * std::runtime_error after logging. New code should emit structured
- * events directly — obs::logWarn("cache.open_failed", {...}) beats
- * qpad_warn("cache: cannot open ...") — these macros exist for the
- * concat-style call sites and for the assert/panic/fatal throw
- * semantics the tests pin.
+ * continuing impossible. Each logs a `log.panic` / `log.fatal` event
+ * through the structured logger (obs/log.hh: honouring QPAD_LOG
+ * destination/format/level and carrying the current request id),
+ * then throws std::logic_error / std::runtime_error, which the tests
+ * pin. Non-fatal diagnostics are structured events emitted directly,
+ * e.g. obs::logWarn("cache.open_failed", {{"path", path}}).
  */
 
 #ifndef QPAD_COMMON_LOGGING_HH
@@ -40,19 +35,11 @@ concat(Args &&...args)
     return oss.str();
 }
 
-// Implemented in obs/log.cc: each forwards to the structured logger.
+// Implemented in obs/log.cc: each logs, then throws.
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-
-/** Globally silence everything below error (used by quiet benches);
- * maps onto the obs::log threshold without touching the configured
- * minimum level. */
-void setQuiet(bool quiet);
-bool isQuiet();
 
 } // namespace detail
 
@@ -71,14 +58,6 @@ bool isQuiet();
 #define qpad_fatal(...)                                                 \
     ::qpad::detail::fatalImpl(__FILE__, __LINE__,                       \
                               ::qpad::detail::concat(__VA_ARGS__))
-
-/** Non-fatal warning (a `log.warn` structured event). */
-#define qpad_warn(...)                                                  \
-    ::qpad::detail::warnImpl(::qpad::detail::concat(__VA_ARGS__))
-
-/** Informational message (a `log.info` structured event). */
-#define qpad_inform(...)                                                \
-    ::qpad::detail::informImpl(::qpad::detail::concat(__VA_ARGS__))
 
 /** panic() unless the condition holds. */
 #define qpad_assert(cond, ...)                                          \

@@ -7,6 +7,7 @@
 #include "cache/yield_cache.hh"
 #include "common/gauss_block.hh"
 #include "common/logging.hh"
+#include "obs/log.hh"
 #include "obs/trace.hh"
 #include "profile/coupling.hh"
 
@@ -176,8 +177,8 @@ memoizedPoint(const cache::Fingerprint &key, const std::string &config,
     DataPoint point;
     if (decodeDataPoint(blob, config, arch_name, point))
         return point;
-    qpad_warn("cache: dropping undecodable data-point record ",
-              key.hex());
+    obs::logWarn("cache.record_dropped",
+                 {{"kind", "data_point"}, {"key", key.hex()}});
     point = compute();
     store.put(key, encodeDataPoint(point));
     return point;
@@ -414,28 +415,8 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
         });
 
     // Surface this run's activity in the report: the metrics delta
-    // carries every series the run moved, and the legacy cache_stats
-    // view is derived from its cache.* entries (counter deltas; the
-    // gauges report residency, which deltaSince keeps absolute).
+    // carries every series the run moved.
     experiment.metrics = obs::deltaSince(before);
-    const obs::Snapshot &delta = experiment.metrics;
-    experiment.cache_stats = cache::globalCacheStats();
-    experiment.cache_stats.hits =
-        uint64_t(obs::valueOf(delta, "cache.hits"));
-    experiment.cache_stats.misses =
-        uint64_t(obs::valueOf(delta, "cache.misses"));
-    experiment.cache_stats.inserts =
-        uint64_t(obs::valueOf(delta, "cache.inserts"));
-    experiment.cache_stats.evictions =
-        uint64_t(obs::valueOf(delta, "cache.evictions"));
-    experiment.cache_stats.lock_waits =
-        uint64_t(obs::valueOf(delta, "cache.lock_waits"));
-    experiment.cache_stats.lock_timeouts =
-        uint64_t(obs::valueOf(delta, "cache.lock_timeouts"));
-    experiment.cache_stats.compactions =
-        uint64_t(obs::valueOf(delta, "cache.compactions"));
-    experiment.cache_stats.persistence_lost =
-        uint64_t(obs::valueOf(delta, "cache.persistence_lost"));
 
     normalize(experiment);
     return experiment;

@@ -13,7 +13,6 @@
 
 #include "arch/architecture.hh"
 #include "benchmarks/suite.hh"
-#include "cache/store.hh"
 #include "design/design_flow.hh"
 #include "exec/context.hh"
 #include "exec/stream.hh"
@@ -95,20 +94,14 @@ struct BenchmarkExperiment
     std::vector<DataPoint> points;
 
     /**
-     * Result-cache activity attributable to this run: hit / miss /
-     * insert / eviction counters are the delta over the run, bytes
-     * and entries the global store's residency when it finished.
-     * All zero when the cache is disabled. Purely informational —
-     * the DataPoints themselves are bit-identical with and without
-     * the cache.
-     */
-    cache::StoreStats cache_stats{};
-
-    /**
      * Process-metrics delta over this run (obs::deltaSince of a
      * snapshot taken before the first job): every runtime.*, cache.*,
-     * design.*, yield.* and eval.* series the run moved. cache_stats
-     * above is derived from the cache.* entries of this delta.
+     * design.*, yield.* and eval.* series the run moved. The cache.*
+     * counters (hits, misses, inserts, ...) are the result cache's
+     * activity attributable to this run; its gauges (cache.bytes,
+     * cache.entries) stay absolute. Purely informational — the
+     * DataPoints themselves are bit-identical with and without the
+     * cache.
      */
     obs::Snapshot metrics;
 

@@ -1,18 +1,28 @@
 /**
  * @file
- * Always-on flight recorder: a fixed-size per-thread ring of recent
- * span edges and log events, dumpable as Chrome trace-event JSON
- * when something goes wrong.
+ * The span and log-event recorder: a fixed-size per-thread ring of
+ * recent span edges and log events, always on and dumpable as
+ * Chrome trace-event JSON, plus the sink behind trace sessions
+ * (obs/trace.hh).
  *
- * Unlike the opt-in tracer (obs/trace.hh), the recorder never turns
- * off: every QPAD_SPAN begin/end and every emitted log event lands
- * in the calling thread's ring, overwriting the oldest entry once
- * the ring is full. The hot path is relaxed atomic stores plus one
- * release publish into preallocated slots — no locks, no allocation
- * (the 32 KiB ring itself is allocated once per thread on first use
- * and leaked so a crash handler can still read it after thread
- * exit). Recording never feeds back into any computation: results
- * are byte-identical with the recorder armed or not.
+ * The recorder never turns off: every QPAD_SPAN begin/end and every
+ * emitted log event lands in the calling thread's ring, overwriting
+ * the oldest entry once the ring is full. The hot path is one clock
+ * read, relaxed atomic stores and one release publish into
+ * preallocated slots — no locks, no allocation (the ring itself is
+ * allocated once per thread on first use and leaked, so a crash
+ * handler can still read it and a trace session can still drain it
+ * after thread exit). Recording never feeds back into any
+ * computation: results are byte-identical with the recorder armed
+ * or not, and with a trace session open or not.
+ *
+ * Trace sessions: while startTracing() has a session open, each
+ * ring also appends its span edges (not log events) to a growable
+ * per-ring session buffer, under that ring's mutex — the only lock
+ * on the recording path, uncontended except while stopTracing()
+ * drains it. With no session open that costs one relaxed load and
+ * a branch. Span edges reach both outputs from the same clock read,
+ * so a trace file and a flight dump agree on tids and timestamps.
  *
  * Dump triggers:
  *   - QPAD_FLIGHT=<path> arms the recorder: the rings are dumped to
@@ -22,13 +32,18 @@
  *     which also dumps explicitly before raising).
  *   - dumpTo() / dumpNow() for tests and embedders.
  *
- * The normal dump replays each thread's events into balanced B/E
- * pairs (synthesizing opens for entries whose begin was overwritten
- * and closes for spans still running), so the file loads in
- * chrome://tracing / Perfetto. The signal-path dump writes the same
- * JSON shape with write(2) and hand-rolled formatting only — headers
- * are pre-serialized when the recorder is armed — and skips the
- * balancing pass; it is still valid JSON (json.tool-parseable).
+ * The normal dump and the trace-session file share one writer. It
+ * replays each thread's events into balanced B/E pairs (synthesizing
+ * opens for entries whose begin was overwritten or predates the
+ * session, and closes for spans still running), so the file loads
+ * in chrome://tracing / Perfetto. The signal-path dump writes the
+ * same JSON shape with write(2) and hand-rolled formatting only and
+ * skips the balancing pass; it is still valid JSON.
+ *
+ * Thread cap: the ring table holds kMaxRings threads, twice
+ * runtime::kMaxThreads, so a run at the largest legal pool keeps
+ * every worker with room to spare. Threads past the cap still run
+ * and record into their own ring, but appear in no dump or trace.
  *
  * Event names must be string literals: the ring stores pointers.
  */
@@ -36,14 +51,20 @@
 #ifndef QPAD_OBS_FLIGHT_HH
 #define QPAD_OBS_FLIGHT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace qpad::obs::flight
 {
 
-/** Events retained per thread (power of two; 32 KiB of slots). */
+/** Events retained per thread (power of two). */
 constexpr std::size_t kRingEvents = 1024;
+
+/** Threads whose rings are dumped and traced (2 x
+ * runtime::kMaxThreads). The table holds pointers only; rings are
+ * allocated on a thread's first event. */
+constexpr std::size_t kMaxRings = 8192;
 
 /** Monotonic nanoseconds (steady clock); shared by log timestamps. */
 uint64_t nowNs();
@@ -52,7 +73,8 @@ uint64_t nowNs();
  * Record one event into the calling thread's ring. `phase` is 'B' /
  * 'E' for span edges, 'L' for a log event (with `level` carrying its
  * obs::LogLevel). `name` must be a string literal. Zero-alloc and
- * lock-free after the thread's first call.
+ * lock-free after the thread's first call while no trace session is
+ * open; during a session, span edges also go to the session buffer.
  */
 void record(const char *name, char phase, uint8_t level = 0);
 

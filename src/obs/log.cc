@@ -35,18 +35,11 @@ sink()
     return *s;
 }
 
-/** Legacy quiet flag (common/logging.hh setQuiet): suppresses
- * everything below error without touching the configured level. */
-std::atomic<bool> g_quiet{false};
-
-/** Recompute the one hot-path threshold from config + quiet. */
+/** Recompute the one hot-path threshold from the config. */
 void
 publishThreshold(const LogConfig &config)
 {
     uint8_t threshold = uint8_t(config.min_level);
-    if (g_quiet.load(std::memory_order_relaxed) &&
-        threshold < uint8_t(LogLevel::kError))
-        threshold = uint8_t(LogLevel::kError);
     if (!config.enabled)
         threshold = uint8_t(LogLevel::kError) + 1;
     detail::g_log_threshold.store(threshold,
@@ -240,7 +233,7 @@ logEvent(LogLevel level, const char *event,
 } // namespace qpad::obs
 
 // ---------------------------------------------------------------------
-// Legacy common/logging.hh entry points, forwarded to obs::log.
+// common/logging.hh panic/fatal entry points: log, then throw.
 // ---------------------------------------------------------------------
 
 namespace qpad::detail
@@ -273,33 +266,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
     obs::logEvent(obs::LogLevel::kError, "log.fatal",
                   {{"msg", msg}, {"at", sourceAt(file, line)}});
     throw std::runtime_error("fatal: " + msg);
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    obs::logWarn("log.warn", {{"msg", msg}});
-}
-
-void
-informImpl(const std::string &msg)
-{
-    obs::logInfo("log.info", {{"msg", msg}});
-}
-
-void
-setQuiet(bool quiet)
-{
-    qpad::obs::g_quiet.store(quiet, std::memory_order_relaxed);
-    // Republish the threshold under the sink lock so a concurrent
-    // configureLog cannot interleave a stale value.
-    obs::configureLog(obs::currentLogConfig());
-}
-
-bool
-isQuiet()
-{
-    return qpad::obs::g_quiet.load(std::memory_order_relaxed);
 }
 
 } // namespace qpad::detail

@@ -26,8 +26,8 @@
  * metric-name grammar ([a-z0-9._-]): the flight recorder stores the
  * pointer, never a copy.
  *
- * The legacy qpad_panic/fatal/warn/inform/assert macros
- * (common/logging.hh) forward here as `log.*` events; logging never
+ * The qpad_panic/fatal/assert macros (common/logging.hh) log here as
+ * `log.panic` / `log.fatal` events before throwing; logging never
  * feeds back into any computation.
  */
 

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "obs/log.hh"
 
 namespace qpad::obs
 {
@@ -267,7 +268,7 @@ dumpMetricsAtExit()
     }
     std::ofstream out(dest, std::ios::trunc);
     if (!out) {
-        qpad_warn("obs: cannot write QPAD_METRICS file '", dest, "'");
+        logWarn("obs.metrics_write_failed", {{"path", dest}});
         return;
     }
     writeJson(out, snap);

@@ -1,28 +1,28 @@
 /**
  * @file
- * RAII span tracer with Chrome trace-event JSON output.
+ * RAII spans and trace sessions with Chrome trace-event JSON output.
  *
  * Usage: `QPAD_SPAN("yield.estimate");` opens a span that closes at
  * scope exit. Spans nest naturally (they are stack objects) and
- * carry the recording thread's id, so the flushed file renders as a
+ * carry the recording thread's id, so a trace file renders as a
  * per-thread flame graph in chrome://tracing or Perfetto
  * (https://ui.perfetto.dev, "Open trace file").
  *
- * Cost contract: every span edge lands in the always-on flight
- * recorder ring (obs/flight.hh: one clock read plus relaxed stores
- * into a preallocated per-thread slot — no locks, no allocation);
- * with tracing disabled — the default — that is ALL a span costs
- * beyond one relaxed load and a branch. Enabled spans additionally
- * push an event into a per-thread trace buffer (one uncontended
- * mutex each). Inside an exec::RequestScope both records carry the
- * request id. Tracing never feeds back into any computation: results
- * are bit-identical with tracing on or off, and the test suite pins
- * that invariant.
+ * A span is two flight::record calls: each edge lands in the
+ * always-on flight recorder ring (obs/flight.hh: one clock read plus
+ * relaxed stores into a preallocated per-thread slot — no locks, no
+ * allocation). A trace session is a sink on those same rings: while
+ * one is open, span edges are also appended to a per-ring session
+ * buffer (one uncontended mutex each), and stopTracing() writes them
+ * out. Inside an exec::RequestScope every edge carries the request
+ * id. Tracing never feeds back into any computation: results are
+ * bit-identical with tracing on or off, and the test suite pins that
+ * invariant.
  *
  * Enable with QPAD_TRACE=<path> (flushed at process exit) or
  * programmatically with startTracing()/stopTracing(). Span names
- * must be string literals (or otherwise outlive the trace session):
- * the tracer stores the pointer, never a copy.
+ * must be string literals: the recorder stores the pointer, never a
+ * copy.
  */
 
 #ifndef QPAD_OBS_TRACE_HH
@@ -39,12 +39,9 @@ namespace qpad::obs
 namespace detail
 {
 
-/** The one hot-path flag: set only by start/stopTracing. */
-inline std::atomic<bool> g_tracing{false};
-
-/** Append a begin ('B') or end ('E') event for the calling thread.
- * `name` must outlive the trace session (string literal). */
-void recordEvent(const char *name, char phase);
+/** The one hot-path flag: set only by start/stopTracing (defined in
+ * flight.cc, whose record() reads it). */
+extern std::atomic<bool> g_tracing;
 
 } // namespace detail
 
@@ -61,41 +58,31 @@ class Span
     explicit Span(const char *name) : name_(name)
     {
         flight::record(name, 'B');
-        if (tracingEnabled()) {
-            traced_ = true;
-            detail::recordEvent(name, 'B');
-        }
     }
 
-    ~Span()
-    {
-        flight::record(name_, 'E');
-        // A span that began traced is always closed, even if tracing
-        // was toggled meanwhile, so flushed streams stay balanced.
-        if (traced_)
-            detail::recordEvent(name_, 'E');
-    }
+    ~Span() { flight::record(name_, 'E'); }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
   private:
     const char *name_;
-    bool traced_ = false;
 };
 
 /**
  * Begin a trace session writing to `path` on stopTracing(). Clears
- * any events buffered from a previous session. Returns false (and
+ * any span edges left from a previous session. Returns false (and
  * changes nothing) if a session is already active.
  */
 bool startTracing(const std::string &path);
 
 /**
- * End the session: disable recording, gather every thread's buffer,
- * and write the Chrome trace-event JSON file. No-op when no session
- * is active. Close all spans before calling (an open span's end
- * event would be dropped, unbalancing the next session's file).
+ * End the session: disable recording, drain every thread's session
+ * buffer, and write the Chrome trace-event JSON file. No-op when no
+ * session is active. The file is balanced per thread: a span still
+ * open at this call gets a synthetic close at the thread's last
+ * recorded timestamp, and a span opened before startTracing() a
+ * synthetic open at its first.
  */
 void stopTracing();
 

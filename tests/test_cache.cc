@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,6 +27,8 @@
 #include "design/anneal.hh"
 #include "design/design_flow.hh"
 #include "eval/experiment.hh"
+#include "obs/log.hh"
+#include "obs/metrics.hh"
 #include "profile/coupling.hh"
 #include "runtime/parallel.hh"
 #include "yield/yield_sim.hh"
@@ -713,6 +717,78 @@ TEST(CachedFreqAlloc, BitIdenticalAndCached)
               cache::freqAllocKey(retuned, options));
 }
 
+/** How many `cache.record_dropped` events of `kind` a text-format
+ * log file holds. */
+std::size_t
+droppedRecords(const std::string &log_path, const std::string &kind)
+{
+    std::ifstream in(log_path);
+    const std::string needle =
+        "cache.record_dropped kind=\"" + kind + "\"";
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        n += line.find(needle) != std::string::npos;
+    return n;
+}
+
+TEST(CachedYield, UndecodableRecordIsRecomputedAndOverwritten)
+{
+    // Bytes the decoder rejects (a corrupt disk record or a 128-bit
+    // key collision) must be dropped with a structured warning,
+    // recomputed exactly as a miss would be, and overwritten with a
+    // decodable record — so the next call is a plain hit that drops
+    // nothing. Checked for both cached computations.
+    const obs::LogConfig saved_log = obs::currentLogConfig();
+    obs::LogConfig log;
+    log.path = testing::TempDir() + "qpad_cache_record_dropped.txt";
+    std::remove(log.path.c_str()); // the sink appends
+    obs::configureLog(log);
+    const std::vector<uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef};
+    const auto arch = arch::ibm16Q(true);
+    std::vector<uint8_t> stored;
+
+    // Input 1: a yield estimate.
+    freshGlobalCache();
+    yield::YieldOptions yopts;
+    yopts.trials = 1000;
+    const cache::Fingerprint ykey = cache::yieldKey(arch, yopts);
+    cache::globalStore().put(ykey, garbage);
+    const yield::YieldResult ydirect = yield::estimateYield(arch, yopts);
+    expectSameYield(ydirect, cache::cachedEstimateYield(arch, yopts));
+    EXPECT_EQ(droppedRecords(log.path, "yield"), 1u);
+    ASSERT_TRUE(cache::globalStore().get(ykey, stored));
+    EXPECT_NE(stored, garbage);
+    expectSameYield(ydirect, cache::cachedEstimateYield(arch, yopts));
+    EXPECT_EQ(droppedRecords(log.path, "yield"), 1u)
+        << "the overwritten record must decode";
+
+    // Input 2: a frequency allocation.
+    freshGlobalCache();
+    design::FreqAllocOptions fopts;
+    fopts.local_trials = 150;
+    fopts.refine_sweeps = 1;
+    const cache::Fingerprint fkey = cache::freqAllocKey(arch, fopts);
+    cache::globalStore().put(fkey, garbage);
+    const design::FreqAllocResult fdirect =
+        design::allocateFrequencies(arch, fopts);
+    for (int pass = 0; pass < 2; ++pass) {
+        const design::FreqAllocResult cached =
+            cache::cachedAllocateFrequencies(arch, fopts);
+        EXPECT_EQ(cached.freqs, fdirect.freqs);
+        EXPECT_EQ(cached.order, fdirect.order);
+        EXPECT_EQ(cached.local_scores, fdirect.local_scores);
+        EXPECT_EQ(droppedRecords(log.path, "freq_alloc"), 1u)
+            << "pass " << pass;
+        if (pass == 0) {
+            ASSERT_TRUE(cache::globalStore().get(fkey, stored));
+            EXPECT_NE(stored, garbage);
+        }
+    }
+
+    obs::configureLog(saved_log);
+    freshGlobalCache();
+}
+
 TEST(CachedAnneal, RestartChainsReplayFromCache)
 {
     freshGlobalCache();
@@ -812,15 +888,15 @@ TEST(CachedExperiment, WarmRunIsBitIdenticalWithZeroYieldWork)
     const eval::BenchmarkExperiment cold =
         eval::runBenchmark(info, smallExperiment());
     expectSamePoints(uncached, cold);
-    EXPECT_GT(cold.cache_stats.misses, 0u);
+    EXPECT_GT(obs::valueOf(cold.metrics, "cache.misses"), 0.0);
 
     const eval::BenchmarkExperiment warm =
         eval::runBenchmark(info, smallExperiment());
     expectSamePoints(uncached, warm);
-    EXPECT_EQ(warm.cache_stats.misses, 0u)
+    EXPECT_EQ(obs::valueOf(warm.metrics, "cache.misses"), 0.0)
         << "a warm sweep performs zero estimateYield trial work";
-    EXPECT_GT(warm.cache_stats.hits, 0u);
-    EXPECT_EQ(warm.cache_stats.inserts, 0u);
+    EXPECT_GT(obs::valueOf(warm.metrics, "cache.hits"), 0.0);
+    EXPECT_EQ(obs::valueOf(warm.metrics, "cache.inserts"), 0.0);
     freshGlobalCache();
 }
 

@@ -35,15 +35,6 @@ TEST(Logging, AssertThrowsOnFalse)
     EXPECT_THROW(qpad_assert(1 + 1 == 3, "math"), std::logic_error);
 }
 
-TEST(Logging, QuietSuppressesWarn)
-{
-    qpad::detail::setQuiet(true);
-    EXPECT_TRUE(qpad::detail::isQuiet());
-    qpad_warn("should not appear");
-    qpad::detail::setQuiet(false);
-    EXPECT_FALSE(qpad::detail::isQuiet());
-}
-
 TEST(SymMatrix, StoresSymmetrically)
 {
     SymMatrix<int> m(5, 0);

@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for qpad::obs: the metrics registry (counters, gauges,
- * histograms, deterministic snapshots, deltas, exporters) and the
- * span tracer (balanced Chrome trace-event output, the zero-cost
- * disabled path, and the bit-identity of traced vs untraced runs).
+ * histograms, deterministic snapshots, deltas, exporters), the
+ * structured logger, and the span recorder (balanced Chrome
+ * trace-event output from trace sessions and flight dumps, shared
+ * thread ids, the zero-cost disabled path, and the bit-identity of
+ * traced vs untraced runs).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -540,6 +543,56 @@ TEST(Trace, SessionsDoNotLeakEventsIntoEachOther)
         EXPECT_EQ(e.name, "obs.test_second");
 }
 
+TEST(Trace, SpanOpenAtStopIsClosedInTheFile)
+{
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    const std::string path = tracePath("open_at_stop");
+    ASSERT_TRUE(obs::startTracing(path));
+    {
+        QPAD_SPAN("obs.test_open_at_stop");
+        obs::stopTracing();
+    }
+
+    // The span's end came after the session: the file still closes
+    // it, so the stream stays balanced.
+    const std::vector<ParsedEvent> events = parseTrace(path);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].name, "obs.test_open_at_stop");
+    EXPECT_EQ(events[0].phase, 'B');
+    EXPECT_EQ(events[1].name, "obs.test_open_at_stop");
+    EXPECT_EQ(events[1].phase, 'E');
+    EXPECT_EQ(events[0].tid, events[1].tid);
+}
+
+TEST(Trace, TraceAndFlightShareThreadIds)
+{
+    if (obs::tracingEnabled())
+        GTEST_SKIP() << "QPAD_TRACE is set; session already active";
+    const std::string trace = tracePath("shared_tids");
+    const std::string flight = tracePath("shared_tids_flight");
+    // A thread that records only outside the session takes a ring
+    // (and its tid) but contributes nothing to the trace file.
+    std::thread([] { QPAD_SPAN("obs.test_untraced_thread"); }).join();
+    ASSERT_TRUE(obs::startTracing(trace));
+    std::thread worker([] { QPAD_SPAN("obs.test_shared_tid"); });
+    worker.join();
+    obs::stopTracing();
+    ASSERT_TRUE(obs::flight::dumpTo(flight));
+
+    const auto tidsOf = [](const std::string &path) {
+        std::set<int> tids;
+        for (const ParsedEvent &e : parseTrace(path))
+            if (e.name == "obs.test_shared_tid")
+                tids.insert(e.tid);
+        return tids;
+    };
+    const std::set<int> traced = tidsOf(trace);
+    ASSERT_EQ(traced.size(), 1u);
+    EXPECT_EQ(tidsOf(flight).count(*traced.begin()), 1u)
+        << "the worker's spans carry one tid in both files";
+}
+
 // --------------------------------------------------------------------
 // Observability never perturbs results
 // --------------------------------------------------------------------
@@ -689,6 +742,9 @@ TEST(Log, ConfigRoundTripsThroughCurrentLogConfig)
 // --------------------------------------------------------------------
 // Flight recorder
 // --------------------------------------------------------------------
+
+// A traced run at the largest legal pool keeps every worker's ring.
+static_assert(obs::flight::kMaxRings >= 2 * runtime::kMaxThreads);
 
 TEST(Flight, RecordIsZeroAllocOnceWarm)
 {
