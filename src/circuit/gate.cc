@@ -1,5 +1,6 @@
 #include "circuit/gate.hh"
 
+#include <iterator>
 #include <sstream>
 #include <unordered_map>
 
@@ -13,48 +14,62 @@ namespace
 
 struct KindInfo
 {
+    GateKind kind;
     const char *name;
     int num_qubits; // -1 == variable
     int num_params;
 };
 
+/** Indexed by GateKind; the static_assert below pins the order. */
+constexpr KindInfo kKindInfo[] = {
+    {GateKind::I,       "id", 1, 0},
+    {GateKind::X,       "x", 1, 0},
+    {GateKind::Y,       "y", 1, 0},
+    {GateKind::Z,       "z", 1, 0},
+    {GateKind::H,       "h", 1, 0},
+    {GateKind::S,       "s", 1, 0},
+    {GateKind::Sdg,     "sdg", 1, 0},
+    {GateKind::T,       "t", 1, 0},
+    {GateKind::Tdg,     "tdg", 1, 0},
+    {GateKind::SX,      "sx", 1, 0},
+    {GateKind::SXdg,    "sxdg", 1, 0},
+    {GateKind::RX,      "rx", 1, 1},
+    {GateKind::RY,      "ry", 1, 1},
+    {GateKind::RZ,      "rz", 1, 1},
+    {GateKind::P,       "p", 1, 1},
+    {GateKind::U1,      "u1", 1, 1},
+    {GateKind::U2,      "u2", 1, 2},
+    {GateKind::U3,      "u3", 1, 3},
+    {GateKind::CX,      "cx", 2, 0},
+    {GateKind::CZ,      "cz", 2, 0},
+    {GateKind::CP,      "cp", 2, 1},
+    {GateKind::CRZ,     "crz", 2, 1},
+    {GateKind::SWAP,    "swap", 2, 0},
+    {GateKind::RZZ,     "rzz", 2, 1},
+    {GateKind::CCX,     "ccx", 3, 0},
+    {GateKind::CSWAP,   "cswap", 3, 0},
+    {GateKind::Measure, "measure", 1, 0},
+    {GateKind::Reset,   "reset", 1, 0},
+    {GateKind::Barrier, "barrier", -1, 0},
+};
+
+constexpr bool
+kindInfoIsIndexed()
+{
+    for (std::size_t i = 0; i < std::size(kKindInfo); ++i)
+        if (static_cast<std::size_t>(kKindInfo[i].kind) != i)
+            return false;
+    return std::size(kKindInfo) ==
+           static_cast<std::size_t>(GateKind::Barrier) + 1;
+}
+static_assert(kindInfoIsIndexed(), "kKindInfo must follow GateKind");
+
 const KindInfo &
 info(GateKind kind)
 {
-    static const std::unordered_map<GateKind, KindInfo> table = {
-        {GateKind::I,       {"id", 1, 0}},
-        {GateKind::X,       {"x", 1, 0}},
-        {GateKind::Y,       {"y", 1, 0}},
-        {GateKind::Z,       {"z", 1, 0}},
-        {GateKind::H,       {"h", 1, 0}},
-        {GateKind::S,       {"s", 1, 0}},
-        {GateKind::Sdg,     {"sdg", 1, 0}},
-        {GateKind::T,       {"t", 1, 0}},
-        {GateKind::Tdg,     {"tdg", 1, 0}},
-        {GateKind::SX,      {"sx", 1, 0}},
-        {GateKind::SXdg,    {"sxdg", 1, 0}},
-        {GateKind::RX,      {"rx", 1, 1}},
-        {GateKind::RY,      {"ry", 1, 1}},
-        {GateKind::RZ,      {"rz", 1, 1}},
-        {GateKind::P,       {"p", 1, 1}},
-        {GateKind::U1,      {"u1", 1, 1}},
-        {GateKind::U2,      {"u2", 1, 2}},
-        {GateKind::U3,      {"u3", 1, 3}},
-        {GateKind::CX,      {"cx", 2, 0}},
-        {GateKind::CZ,      {"cz", 2, 0}},
-        {GateKind::CP,      {"cp", 2, 1}},
-        {GateKind::CRZ,     {"crz", 2, 1}},
-        {GateKind::SWAP,    {"swap", 2, 0}},
-        {GateKind::RZZ,     {"rzz", 2, 1}},
-        {GateKind::CCX,     {"ccx", 3, 0}},
-        {GateKind::CSWAP,   {"cswap", 3, 0}},
-        {GateKind::Measure, {"measure", 1, 0}},
-        {GateKind::Reset,   {"reset", 1, 0}},
-        {GateKind::Barrier, {"barrier", -1, 0}},
-    };
-    auto it = table.find(kind);
-    qpad_assert(it != table.end(), "unknown GateKind");
-    return it->second;
+    const auto index = static_cast<std::size_t>(kind);
+    qpad_assert(index < std::size(kKindInfo), "unknown GateKind");
+    return kKindInfo[index];
 }
 
 } // namespace
@@ -69,35 +84,6 @@ int
 gateKindNumQubits(GateKind kind)
 {
     return info(kind).num_qubits;
-}
-
-bool
-gateKindIsTwoQubit(GateKind kind)
-{
-    switch (kind) {
-      case GateKind::CX:
-      case GateKind::CZ:
-      case GateKind::CP:
-      case GateKind::CRZ:
-      case GateKind::SWAP:
-      case GateKind::RZZ:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-gateKindIsSingleQubit(GateKind kind)
-{
-    switch (kind) {
-      case GateKind::Measure:
-      case GateKind::Reset:
-      case GateKind::Barrier:
-        return false;
-      default:
-        return info(kind).num_qubits == 1;
-    }
 }
 
 const char *
@@ -145,13 +131,6 @@ Gate::Gate(GateKind k, std::vector<Qubit> qs, std::vector<double> ps)
                     static_cast<size_t>(gateKindNumParams(k)),
                 "gate ", gateKindName(k), " expects ",
                 gateKindNumParams(k), " params, got ", params.size());
-}
-
-bool
-Gate::isNonUnitary() const
-{
-    return kind == GateKind::Measure || kind == GateKind::Reset ||
-           kind == GateKind::Barrier;
 }
 
 std::string

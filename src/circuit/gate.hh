@@ -46,10 +46,50 @@ int gateKindNumParams(GateKind kind);
 int gateKindNumQubits(GateKind kind);
 
 /** True for unitary gates acting on exactly two qubits. */
-bool gateKindIsTwoQubit(GateKind kind);
+constexpr bool
+gateKindIsTwoQubit(GateKind kind)
+{
+    switch (kind) {
+      case GateKind::CX:
+      case GateKind::CZ:
+      case GateKind::CP:
+      case GateKind::CRZ:
+      case GateKind::SWAP:
+      case GateKind::RZZ:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for unitary gates acting on exactly one qubit. */
-bool gateKindIsSingleQubit(GateKind kind);
+constexpr bool
+gateKindIsSingleQubit(GateKind kind)
+{
+    switch (kind) {
+      case GateKind::I:
+      case GateKind::X:
+      case GateKind::Y:
+      case GateKind::Z:
+      case GateKind::H:
+      case GateKind::S:
+      case GateKind::Sdg:
+      case GateKind::T:
+      case GateKind::Tdg:
+      case GateKind::SX:
+      case GateKind::SXdg:
+      case GateKind::RX:
+      case GateKind::RY:
+      case GateKind::RZ:
+      case GateKind::P:
+      case GateKind::U1:
+      case GateKind::U2:
+      case GateKind::U3:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** Lower-case OpenQASM 2.0 mnemonic (e.g. "cx", "rz"). */
 const char *gateKindName(GateKind kind);
@@ -79,7 +119,17 @@ struct Gate
     bool isSingleQubit() const { return gateKindIsSingleQubit(kind); }
 
     /** True for Measure/Reset/Barrier. */
-    bool isNonUnitary() const;
+    constexpr bool isNonUnitary() const
+    {
+        switch (kind) {
+          case GateKind::Measure:
+          case GateKind::Reset:
+          case GateKind::Barrier:
+            return true;
+          default:
+            return false;
+        }
+    }
 
     /** Human-readable one-line form, e.g. "cx q2, q5". */
     std::string str() const;

@@ -220,9 +220,8 @@ measure(const std::string &config, const Architecture &arch,
         const exec::Context &ctx)
 {
     QPAD_SPAN("eval.measure");
-    // An already-stopped request does no work: the mapper below has
-    // no internal polls, and a warm yield cache would otherwise let
-    // a cancelled measurement run to completion.
+    // An already-stopped request does no work: a warm yield cache
+    // would otherwise let a cancelled measurement run to completion.
     ctx.throwIfStopped();
     static obs::Counter &measurements =
         obs::counter("eval.measurements");
@@ -236,7 +235,7 @@ measure(const std::string &config, const Architecture &arch,
     point.num_buses = arch.fourQubitBuses().size();
 
     mapping::MappingResult mapped =
-        mapping::mapCircuit(circuit, arch, options.mapping_options);
+        mapping::mapCircuit(circuit, arch, options.mapping_options, ctx);
     point.gate_count = mapped.total_gates;
     point.swaps = mapped.swaps;
 

@@ -11,6 +11,10 @@
  *  - an initial-mapping search: forward and backward routing passes
  *    over the circuit refine the initial layout (the "reverse
  *    traversal" trick of the SABRE paper).
+ *
+ * Each call flattens the circuit's dependency DAG once per direction,
+ * scores candidate SWAPs incrementally from integer distance sums,
+ * and materializes the mapped circuit only for the winning pass.
  */
 
 #ifndef QPAD_MAPPING_SABRE_HH
@@ -21,6 +25,7 @@
 
 #include "arch/architecture.hh"
 #include "circuit/circuit.hh"
+#include "exec/context.hh"
 
 namespace qpad::mapping
 {
@@ -62,12 +67,20 @@ struct MappingResult
 /**
  * Map a {1q, CX} circuit onto an architecture.
  *
+ * Measurements are routed as terminal: each is re-emitted after the
+ * last routed gate, on its qubit's final physical position.
+ *
+ * `ctx` is polled at the start of every routing pass and every 256
+ * SWAP decisions; a stopped context raises exec::CancelledError. A
+ * call that completes is bit-identical under any context.
+ *
  * @pre circuit.numQubits() <= arch.numQubits() and the architecture
  *      coupling graph is connected.
  */
 MappingResult mapCircuit(const circuit::Circuit &circuit,
                          const arch::Architecture &arch,
-                         const MappingOptions &options = {});
+                         const MappingOptions &options = {},
+                         const exec::Context &ctx = exec::Context::none());
 
 /**
  * Check that every CX of a mapped circuit respects the coupling

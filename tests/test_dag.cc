@@ -71,6 +71,40 @@ TEST(Dag, BarrierSynchronizesEverything)
     EXPECT_EQ(dag.asapDepth(), 3u);
 }
 
+TEST(Dag, BarrierFanOutWithSharedSuccessorCountsEachEdgeOnce)
+{
+    Circuit c(4);
+    c.cx(0, 1);  // 0
+    c.barrier(); // 1
+    c.cx(0, 3);  // 2: follows the barrier on both of its qubits
+    c.h(1);      // 3
+    c.cx(2, 1);  // 4: follows the barrier on q2 and gate 3 on q1
+    DependencyDag dag(c);
+    auto succs = dag.successors(1);
+    EXPECT_EQ(std::vector<uint32_t>(succs.begin(), succs.end()),
+              (std::vector<uint32_t>{2, 3, 4}));
+    EXPECT_EQ(dag.indegree(2), 1u);
+    EXPECT_EQ(dag.indegree(3), 1u);
+    EXPECT_EQ(dag.indegree(4), 2u);
+    EXPECT_EQ(dag.asapDepth(), 4u);
+}
+
+TEST(Dag, GateOrderSelectsAndReorders)
+{
+    Circuit c(2, 1);
+    c.h(0);          // 0
+    c.cx(0, 1);      // 1
+    c.measure(0, 0); // 2
+    c.x(1);          // 3
+    // Gates 3, 1, 0 in that order: ids 0 (x), 1 (cx), 2 (h).
+    DependencyDag dag(c, {3, 1, 0});
+    EXPECT_EQ(dag.numGates(), 3u);
+    EXPECT_EQ(dag.roots(), (std::vector<uint32_t>{0}));
+    EXPECT_EQ(dag.indegree(1), 1u);
+    EXPECT_EQ(dag.indegree(2), 1u);
+    EXPECT_EQ(dag.asapDepth(), 3u);
+}
+
 TEST(Dag, MeasureParticipatesInDependencies)
 {
     Circuit c(1, 1);
