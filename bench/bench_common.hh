@@ -52,13 +52,12 @@ namespace qpad::bench
  * registry deltas so benches print the very series QPAD_METRICS
  * exports. Valid when the call ran exactly one parallel region:
  * then the idle-histogram sum delta is that region's single
- * max-idle observation.
+ * observation of the caller's wait for stragglers.
  */
 struct RegionDelta
 {
     std::size_t chunks = 0;
-    std::size_t steals = 0;
-    double max_idle_seconds = 0.0;
+    double straggler_wait_seconds = 0.0;
 };
 
 inline RegionDelta
@@ -67,8 +66,7 @@ regionDelta(const obs::Snapshot &before)
     const obs::Snapshot d = obs::deltaSince(before);
     RegionDelta out;
     out.chunks = std::size_t(obs::valueOf(d, "runtime.chunks"));
-    out.steals = std::size_t(obs::valueOf(d, "runtime.steals"));
-    out.max_idle_seconds =
+    out.straggler_wait_seconds =
         obs::valueOf(d, "runtime.region_idle_seconds");
     return out;
 }

@@ -256,10 +256,9 @@ allocateFrequencies(const Architecture &arch,
         // candidate. Candidate costs are uniform (same table, same
         // term lists), so there is no skew for guided to fix. Note
         // the trade-off this grain accepts: with exactly one chunk
-        // per runner nothing is stealable after the initial deal, so
-        // if candidate costs ever became non-uniform this site would
-        // need a finer grain before the work-stealing runners could
-        // rebalance it. Scores depend only on the read-only table,
+        // per runner there is nothing left on the cursor to
+        // rebalance, so if candidate costs ever became non-uniform
+        // this site would need a finer grain first. Scores depend only on the read-only table,
         // so the chunking (unlike the table generation above) is
         // free to vary with the thread count.
         const std::size_t workers =

@@ -25,8 +25,8 @@ namespace
  * identity (generate() is deterministic per name; the counts are an
  * integrity check), the mapper knobs, and the yield-measurement
  * policy including adaptive escalation (which changes yield_trials).
- * options.exec and options.stream never affect the bytes of a
- * DataPoint (runtime contract) and are excluded.
+ * options.exec never affects the bytes of a DataPoint (runtime
+ * contract) and is excluded.
  */
 void
 encodeMeasureInputs(cache::Encoder &enc,
@@ -395,9 +395,10 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
     // Guided sizing (grain 0): adaptive yield escalation makes some
     // data points ~100x dearer than others, so fixed chunks would
     // park a worker on whichever chunk drew the expensive points.
-    // Guided chunks shrink toward the tail and the work-stealing
-    // runners rebalance the rest; safe here because each job derives
-    // its seeds from the options alone, never from the chunk index.
+    // Guided chunks are claimed largest-first and shrink toward the
+    // tail, so whichever runner is free takes the next one; safe here
+    // because each job derives its seeds from the options alone,
+    // never from the chunk index.
     runtime::parallel_for(
         ctx.apply(options.exec), jobs.size(), 0,
         [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -407,9 +408,6 @@ runBenchmark(const benchmarks::BenchmarkInfo &info,
                 QPAD_SPAN("eval.data_point");
                 data_points.add();
                 experiment.points[i] = jobs[i]();
-                // Stream the point the moment it lands in its slot;
-                // the emit is serialized inside the sink.
-                options.stream.emit(i, experiment.points[i]);
             }
         });
 

@@ -1,7 +1,6 @@
 /**
  * @file
- * Deterministic chunked-range parallelism on a work-stealing
- * scheduler.
+ * Deterministic chunked-range parallelism on a shared chunk cursor.
  *
  * parallel_for / parallel_reduce split the index range [0, n) into
  * chunks whose *identity* — the boundaries — is a pure function of
@@ -27,23 +26,26 @@
  *                data points under adaptive yield escalation, where
  *                one index can be ~100x dearer than its neighbour —
  *                so stragglers end in fine-grained chunks that
- *                spread across workers instead of pinning one.
+ *                spread across runners instead of pinning one.
  *
- * Scheduling (see runtime/region.hh and runtime/chunk_deque.hh):
- * chunks are dealt into per-runner Chase–Lev deques; each runner
- * drains its own deque and then steals from randomly-ordered
- * victims, so a runner that finishes early takes load off whoever is
- * stuck with expensive chunks. The caller always participates as
- * runner 0, helpers are borrowed from ThreadPool::global(), and the
- * caller's completion wait is a condition-variable handshake — no
- * sleep-polling anywhere. Nested parallel regions cannot deadlock:
- * a region's completion never depends on a helper starting, because
- * the caller can steal every chunk itself; a saturated pool degrades
- * toward sequential execution, never toward a cycle of blocked
- * workers.
+ * Scheduling (see runtime/region.hh): every region has one atomic
+ * chunk cursor, and every runner — the caller as runner 0 plus
+ * helpers borrowed from ThreadPool::global() — claims the next
+ * chunk from it until none is left. Chunks are claimed in ascending
+ * order, so guided regions hand out their largest chunks first and
+ * their single-index tail last (guided self-scheduling): a runner
+ * that finishes early simply claims more, and no runner is left
+ * holding a backlog. The caller's completion wait is a condition-
+ * variable handshake — no sleep-polling anywhere. Nested parallel
+ * regions cannot deadlock: a region's completion never depends on a
+ * helper starting, because the caller can claim every chunk itself;
+ * a saturated pool degrades toward sequential execution, never
+ * toward a cycle of blocked workers.
  *
- * Per-region scheduler statistics (steals, chunks per runner, max
- * idle time) are reported through Options::stats.
+ * Regions report to the metrics registry: runtime.regions (or
+ * runtime.seq_regions for the sequential path), runtime.chunks, and
+ * the runtime.region_seconds / runtime.region_idle_seconds
+ * histograms (the idle one is the caller's wait for stragglers).
  */
 
 #ifndef QPAD_RUNTIME_PARALLEL_HH
@@ -85,14 +87,6 @@ struct Options
     std::size_t num_threads = 0;
 
     /**
-     * Optional per-region statistics sink. Each completed region
-     * overwrites the whole struct, so point at most one live region
-     * at a given RegionStats at a time (nested regions run
-     * concurrently — give them their own sink or none).
-     */
-    RegionStats *stats = nullptr;
-
-    /**
      * Optional cooperative stop signal (null = unlimited), polled at
      * chunk-claim boundaries. A stop surfaces as exec::CancelledError
      * through the region's first-error-wins path; it never interrupts
@@ -106,8 +100,9 @@ struct Options
      * Observability only: the id of the request this work belongs to
      * (0 = none), stamped onto every runner thread for the duration
      * of the region so spans and log/flight events recorded inside
-     * chunks — stolen ones included — carry it. Usually attached via
-     * exec::Context::apply(); never affects scheduling or results.
+     * chunks — helper-run ones included — carry it. Usually attached
+     * via exec::Context::apply(); never affects scheduling or
+     * results.
      */
     uint64_t request_id = 0;
 };
@@ -131,23 +126,15 @@ clampRunners(std::size_t threads, std::size_t chunks)
     return std::min(threads, ThreadPool::global().size() + 1);
 }
 
-/** Fill the stats sink for a sequentially-executed region, and fold
- * the region into the process metrics (parallel regions publish the
- * same series from runRegion). */
+/** Fold a sequentially-executed region into the process metrics
+ * (parallel regions publish runtime.regions from runRegion). */
 inline void
-sequentialStats(RegionStats *stats, std::size_t chunks)
+sequentialStats(std::size_t chunks)
 {
     static obs::Counter &regions = obs::counter("runtime.seq_regions");
     static obs::Counter &chunk_count = obs::counter("runtime.chunks");
     regions.add();
     chunk_count.add(chunks);
-    if (!stats)
-        return;
-    stats->threads = 1;
-    stats->chunks = chunks;
-    stats->steals = 0;
-    stats->max_idle_seconds = 0.0;
-    stats->chunks_per_runner.assign(1, chunks);
 }
 
 } // namespace detail
@@ -164,10 +151,10 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
              Body &&body)
 {
     // Tag the caller's thread for the sequential path; the parallel
-    // path re-tags every runner inside runRegion.
+    // path re-tags every runner in RegionState::work.
     obs::ScopedRequestId rid_scope(options.request_id);
     if (n == 0) {
-        detail::sequentialStats(options.stats, 0);
+        detail::sequentialStats(0);
         return;
     }
     const detail::ChunkPlan plan(n, grain);
@@ -175,12 +162,11 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
     const std::size_t threads =
         detail::clampRunners(resolveThreads(options), chunks);
     if (threads <= 1) {
-        // Stats filled before the loop so a throwing chunk leaves
-        // them populated, mirroring the parallel path (which
-        // collects stats before rethrowing and counts failure-
-        // skipped chunks as claimed — the reported chunk count is
-        // the full region either way).
-        detail::sequentialStats(options.stats, chunks);
+        // Counted before the loop so a throwing chunk still counts
+        // the full region, mirroring the parallel path (which
+        // publishes before rethrowing and counts failure-skipped
+        // chunks as claimed).
+        detail::sequentialStats(chunks);
         for (std::size_t c = 0; c < chunks; ++c) {
             exec::throwIfStopped(options.cancel);
             const auto [begin, end] = plan.bounds(c);
@@ -188,21 +174,21 @@ parallel_for(const Options &options, std::size_t n, std::size_t grain,
         }
         return;
     }
-    detail::runRegion(chunks, threads, plan.guided(),
+    detail::runRegion(chunks, threads,
                       [&plan, &body](std::size_t c) {
                           const auto [begin, end] = plan.bounds(c);
                           body(begin, end, c);
                       },
-                      options.cancel, options.stats,
-                      options.request_id);
+                      options.cancel, options.request_id);
 }
 
 /**
  * Map-reduce over [0, n): `map(begin, end, chunk_index)` produces one
  * partial result per chunk, folded left-to-right in chunk order with
  * `combine(accumulator, partial)`. The fold order is fixed, so the
- * result is independent of the thread count — and of who stole which
- * chunk — even for non-commutative or floating-point combines.
+ * result is independent of the thread count — and of which runner
+ * claimed which chunk — even for non-commutative or floating-point
+ * combines.
  */
 template <typename T, typename Map, typename Combine>
 T
@@ -211,7 +197,7 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
 {
     obs::ScopedRequestId rid_scope(options.request_id);
     if (n == 0) {
-        detail::sequentialStats(options.stats, 0);
+        detail::sequentialStats(0);
         return identity;
     }
     const detail::ChunkPlan plan(n, grain);
@@ -220,20 +206,19 @@ parallel_reduce(const Options &options, std::size_t n, std::size_t grain,
     const std::size_t threads =
         detail::clampRunners(resolveThreads(options), chunks);
     if (threads <= 1) {
-        detail::sequentialStats(options.stats, chunks);
+        detail::sequentialStats(chunks);
         for (std::size_t c = 0; c < chunks; ++c) {
             exec::throwIfStopped(options.cancel);
             const auto [begin, end] = plan.bounds(c);
             partials[c] = map(begin, end, c);
         }
     } else {
-        detail::runRegion(chunks, threads, plan.guided(),
+        detail::runRegion(chunks, threads,
                           [&plan, &map, &partials](std::size_t c) {
                               const auto [begin, end] = plan.bounds(c);
                               partials[c] = map(begin, end, c);
                           },
-                          options.cancel, options.stats,
-                          options.request_id);
+                          options.cancel, options.request_id);
     }
     T result = std::move(identity);
     for (std::size_t c = 0; c < chunks; ++c)

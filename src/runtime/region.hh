@@ -1,77 +1,45 @@
 /**
  * @file
- * Parallel-region execution state for the work-stealing scheduler.
+ * Parallel-region execution state: one shared chunk cursor.
  *
  * One RegionState is the shared heart of one parallel_for /
- * parallel_reduce call: the type-erased chunk body, one ChunkDeque
- * per runner, the outstanding-chunk counter the caller's completion
- * wait hangs off, first-error-wins exception capture, and the
- * scheduler counters surfaced through RegionStats.
+ * parallel_reduce call: the type-erased chunk body, an atomic chunk
+ * cursor, the outstanding-chunk counter the caller's completion wait
+ * hangs off, and first-error-wins exception capture. Every runner —
+ * the caller included — loops on `c = next.fetch_add(1)` until the
+ * cursor passes the last chunk. Chunks are therefore claimed in
+ * ascending index order; under guided sizing that is largest-first
+ * (guided self-scheduling), so the expensive head blocks start at
+ * once and the single-index tail spreads across whoever is free.
  *
  * Lifetime: regions are heap-allocated and shared_ptr-owned by the
- * caller *and* by every helper task queued on the ThreadPool. The
+ * caller *and* by every helper offer queued on the ThreadPool. The
  * caller returns as soon as every chunk has finished executing
  * (pending == 0) — helpers that the pool only gets around to
- * starting later find the deques drained, touch nothing but the
+ * starting later find the cursor exhausted, touch nothing but the
  * region's own atomics, and retire. That is what makes the engine
- * deadlock-free without the old sleep-polling "helping wait": the
- * caller always participates as runner 0 and can steal every chunk
- * itself, so completion never depends on a helper actually starting.
+ * deadlock-free without a sleep-polling "helping wait": the caller
+ * always participates as runner 0 and can claim every chunk itself,
+ * so completion never depends on a helper actually starting.
  */
 
 #ifndef QPAD_RUNTIME_REGION_HH
 #define QPAD_RUNTIME_REGION_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "exec/cancel.hh"
-#include "runtime/chunk_deque.hh"
 
-namespace qpad::runtime
-{
-
-/**
- * Per-region scheduler statistics, filled into Options::stats when
- * the region completes. Point at most one live region at a stats
- * object at a time: each region overwrites the whole struct, and
- * nested regions run concurrently.
- */
-struct RegionStats
-{
-    /**
-     * Runner slots the region allocated (caller included). A slot
-     * whose helper offer was never picked up — e.g. on a saturated
-     * pool, where the caller steals the whole range — shows zero in
-     * chunks_per_runner; count the nonzero entries for the runners
-     * that actually executed work.
-     */
-    std::size_t threads = 0;
-    /** Chunks the range was split into. */
-    std::size_t chunks = 0;
-    /** Chunks claimed by a runner other than their deque's owner. */
-    std::size_t steals = 0;
-    /**
-     * Worst per-runner time spent hunting for work or waiting for
-     * stragglers, in seconds. Best-effort: a helper still retiring
-     * when the caller collects the stats (possible — the caller
-     * does not wait for helpers, only for chunks) reports its idle
-     * time too late to be counted.
-     */
-    double max_idle_seconds = 0.0;
-    /** Chunks processed by each runner (index 0 = the caller). */
-    std::vector<std::size_t> chunks_per_runner;
-};
-
-namespace detail
+namespace qpad::runtime::detail
 {
 
 /**
@@ -134,9 +102,9 @@ class RegionState
 {
   public:
     /**
-     * `cancel` (may be null = unlimited) is polled at every
-     * chunk-claim boundary: once it reports a stop, the remaining
-     * chunks are claimed-but-skipped — the deques still drain and
+     * `cancel` (may be null = unlimited) is polled after every
+     * successful claim: once it reports a stop, the remaining chunks
+     * are claimed-but-skipped — the cursor still runs out and
      * pending_ still reaches zero — and a CancelledError is captured
      * through the same first-error-wins path a throwing chunk uses.
      * The token only needs to outlive the caller's waitDone(): the
@@ -145,31 +113,19 @@ class RegionState
      *
      * `request_id` (0 = none) tags every runner's thread while it
      * works the region, so spans/log/flight events recorded inside
-     * stolen chunks carry the owning request's id. Purely
+     * chunks run by helpers carry the owning request's id. Purely
      * observational — it never affects scheduling or results.
      */
-    RegionState(std::size_t runners, std::size_t chunks,
+    RegionState(std::size_t chunks,
                 std::function<void(std::size_t)> run_chunk,
-                const exec::CancelToken *cancel,
-                uint64_t request_id);
-
-    /** Runner count (deques); runner 0 is the caller. */
-    std::size_t runners() const { return runners_; }
-
-    /** Preload runner `id`'s deque (before dispatch only). */
-    void loadDeque(std::size_t id, std::vector<std::size_t> items);
+                const exec::CancelToken *cancel, uint64_t request_id);
 
     /**
-     * Pool-worker entry point: claim the next helper runner id and
-     * work the region. Ids beyond runners() mean every runner slot
-     * is claimed already (the pool queued more helper tasks than the
-     * region ended up needing); such late arrivals retire at once.
+     * Runner entry point, for the caller and pool helpers alike:
+     * claim chunks from the cursor and run them until it is
+     * exhausted. A helper arriving after that returns at once.
      */
-    void helperEntry();
-
-    /** Run as runner `id`: drain the own deque, then steal until the
-     * region is globally out of unclaimed chunks. */
-    void runAs(std::size_t id);
+    void work();
 
     /** Block (condition variable, no polling) until every chunk has
      * finished executing. Also disarms the finished signal: by the
@@ -181,31 +137,16 @@ class RegionState
      * Arm a one-shot countdown that waitDone() decrements once every
      * chunk has finished. dispatchRegion points this at the pool's
      * active-region counter, so a region is "active" from dispatch
-     * until its caller has observed completion — helper items that
+     * until its caller has observed completion — helper offers that
      * outlive a finished region (by design; see the lifetime notes
      * above) keep the count at zero. Call before dispatch only.
      */
     void armFinishedSignal(std::atomic<std::size_t> &counter);
 
-    /** Fold `seconds` into the max-idle statistic. */
-    void recordIdle(double seconds);
-
-    /**
-     * Copy the scheduler counters out (call after waitDone). Chunk
-     * counts are exact — every chunk has finished by then — but a
-     * helper still retiring may add its idle time after the copy
-     * (see RegionStats::max_idle_seconds).
-     */
-    void collectStats(RegionStats &out) const;
-
     /** Rethrow the first captured chunk exception, if any. */
     void rethrowIfFailed();
 
   private:
-    /** Randomized sweep over the other deques; kEmpty only when no
-     * unclaimed chunk exists anywhere. */
-    std::size_t stealLoop(std::size_t self, uint64_t &rng_state);
-
     /** Chunk done (or skipped after a failure): decrement pending
      * and wake the caller on the last one. */
     void finishChunk();
@@ -217,13 +158,13 @@ class RegionState
     void recordStop(exec::StopReason reason);
 
     std::function<void(std::size_t)> run_chunk_;
-    std::vector<std::unique_ptr<ChunkDeque>> deques_;
-    std::size_t runners_;
+    const std::size_t chunks_;
     const exec::CancelToken *cancel_;
     uint64_t request_id_;
 
+    /** Next unclaimed chunk; values >= chunks_ mean exhausted. */
+    std::atomic<std::size_t> next_{0};
     std::atomic<std::size_t> pending_;
-    std::atomic<std::size_t> next_runner_{1};
     std::atomic<bool> failed_{false};
 
     std::mutex error_mutex_;
@@ -234,30 +175,20 @@ class RegionState
     /** Armed before dispatch, read/cleared under done_mutex_ in
      * waitDone (null = never dispatched or already disarmed). */
     std::atomic<std::size_t> *finished_signal_ = nullptr;
-
-    // Scheduler statistics (relaxed counters; read after waitDone).
-    std::atomic<std::size_t> steals_{0};
-    std::atomic<std::uint64_t> max_idle_ns_{0};
-    std::vector<std::atomic<std::size_t>> claimed_;
 };
 
 /**
  * Execute `run_chunk(c)` for every c in [0, chunks) on `threads`
- * work-stealing runners (calling thread included). `guided` selects
- * the initial chunk-to-runner deal (strided for guided sizing so
- * every runner starts with a mix of sizes, contiguous otherwise for
- * locality). The first exception thrown by any chunk is rethrown in
- * the caller after every chunk has finished or been skipped; a stop
- * signalled through `cancel` (null = unlimited) surfaces the same
- * way, as a CancelledError.
+ * runners (calling thread included) sharing one chunk cursor. The
+ * first exception thrown by any chunk is rethrown in the caller
+ * after every chunk has finished or been skipped; a stop signalled
+ * through `cancel` (null = unlimited) surfaces the same way, as a
+ * CancelledError.
  */
-void runRegion(std::size_t chunks, std::size_t threads, bool guided,
+void runRegion(std::size_t chunks, std::size_t threads,
                std::function<void(std::size_t)> run_chunk,
-               const exec::CancelToken *cancel, RegionStats *stats,
-               uint64_t request_id);
+               const exec::CancelToken *cancel, uint64_t request_id);
 
-} // namespace detail
-
-} // namespace qpad::runtime
+} // namespace qpad::runtime::detail
 
 #endif // QPAD_RUNTIME_REGION_HH

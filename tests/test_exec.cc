@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for qpad::exec — cancellation tokens, deadlines, request
- * contexts, and the order-tagged streaming sink — plus the contract
+ * Tests for qpad::exec — cancellation tokens, deadlines, and request
+ * contexts — plus the contract
  * that matters most: a context decides only WHETHER a result exists,
  * never its bytes, and a stopped context unwinds promptly as
  * exec::CancelledError from every ctx-threaded entry point.
@@ -10,11 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <set>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "arch/architecture.hh"
 #include "arch/ibm.hh"
@@ -23,7 +19,6 @@
 #include "design/freq_alloc.hh"
 #include "exec/cancel.hh"
 #include "exec/context.hh"
-#include "exec/stream.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/request_report.hh"
@@ -252,66 +247,6 @@ TEST(Context, RequestReportJsonIsWellFormed)
         EXPECT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
-}
-
-// --------------------------------------------------------------------
-// Sink
-// --------------------------------------------------------------------
-
-TEST(Sink, DisabledSinkIsANoop)
-{
-    exec::Sink<int> sink;
-    EXPECT_FALSE(static_cast<bool>(sink));
-    EXPECT_NO_THROW(sink.emit(0, 42));
-    EXPECT_EQ(sink.emitted(), 0u);
-}
-
-TEST(Sink, CollectsOrderTaggedItems)
-{
-    std::vector<std::pair<std::size_t, int>> got;
-    exec::Sink<int> sink(
-        [&](std::size_t index, const int &item) {
-            got.emplace_back(index, item);
-        });
-    EXPECT_TRUE(static_cast<bool>(sink));
-    sink.emit(2, 20);
-    sink.emit(0, 0);
-    sink.emit(1, 10);
-    EXPECT_EQ(sink.emitted(), 3u);
-    // Completion order is preserved as delivered; the tags carry the
-    // deterministic position.
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0], (std::pair<std::size_t, int>{2, 20}));
-    EXPECT_EQ(got[1], (std::pair<std::size_t, int>{0, 0}));
-    EXPECT_EQ(got[2], (std::pair<std::size_t, int>{1, 10}));
-}
-
-TEST(Sink, CopiesShareStateAndEmitsSerialize)
-{
-    // Hammer one sink (through copies) from several threads; the
-    // internal mutex must serialize deliveries so the unlocked
-    // callback vector stays consistent. Run under TSan in CI.
-    constexpr std::size_t kThreads = 4;
-    constexpr std::size_t kPerThread = 250;
-    std::vector<std::size_t> seen;
-    exec::Sink<std::size_t> sink(
-        [&](std::size_t index, const std::size_t &item) {
-            EXPECT_EQ(index, item);
-            seen.push_back(item);
-        });
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t)
-        threads.emplace_back([copy = sink, t]() {
-            for (std::size_t i = 0; i < kPerThread; ++i) {
-                const std::size_t tag = t * kPerThread + i;
-                copy.emit(tag, tag);
-            }
-        });
-    for (std::thread &th : threads)
-        th.join();
-    EXPECT_EQ(sink.emitted(), kThreads * kPerThread);
-    const std::set<std::size_t> unique(seen.begin(), seen.end());
-    EXPECT_EQ(unique.size(), kThreads * kPerThread);
 }
 
 // --------------------------------------------------------------------

@@ -346,12 +346,27 @@ TEST(Metrics, RuntimeRegionsPublish)
             sum.fetch_add(begin, std::memory_order_relaxed);
         });
     const obs::Snapshot delta = obs::deltaSince(before);
-    // Grain 1 over 64 indices = 64 chunks, whether the region ran
-    // parallel or degraded to sequential.
+    // Grain 1 over 64 indices = 64 chunks on 4 requested threads:
+    // always one parallel region (the global pool has >= 1 worker,
+    // so the runner count clamps to >= 2), never a sequential one.
+    EXPECT_DOUBLE_EQ(obs::valueOf(delta, "runtime.regions"), 1.0);
+    EXPECT_DOUBLE_EQ(obs::valueOf(delta, "runtime.seq_regions"), 0.0);
     EXPECT_DOUBLE_EQ(obs::valueOf(delta, "runtime.chunks"), 64.0);
-    EXPECT_GE(obs::valueOf(delta, "runtime.regions") +
-                  obs::valueOf(delta, "runtime.seq_regions"),
-              1.0);
+    EXPECT_EQ(sum.load(), 64u * 63u / 2u);
+
+    // The same call on one thread takes the sequential path.
+    const obs::Snapshot before_seq = obs::snapshot();
+    runtime::parallel_for(
+        runtime::Options{1}, 64, 1,
+        [](std::size_t, std::size_t, std::size_t) {});
+    const obs::Snapshot seq = obs::deltaSince(before_seq);
+    EXPECT_DOUBLE_EQ(obs::valueOf(seq, "runtime.seq_regions"), 1.0);
+    EXPECT_DOUBLE_EQ(obs::valueOf(seq, "runtime.regions"), 0.0);
+    EXPECT_DOUBLE_EQ(obs::valueOf(seq, "runtime.chunks"), 64.0);
+
+    // Nothing is stolen from a shared cursor, so no steal series
+    // is registered.
+    EXPECT_EQ(obs::find(obs::snapshot(), "runtime.steals"), nullptr);
 }
 
 TEST(Metrics, CacheStorePublishesAndGaugesReturnToBaseline)
@@ -876,18 +891,17 @@ TEST(FlightDeathTest, FatalSignalDumpsTheArmedPath)
 TEST(Flight, RunnerThreadsCarryTheRegionRequestId)
 {
     // Deterministic single-runner region on a fresh (untagged)
-    // thread: runAs must tag the thread with the region's request id
-    // for the duration of the chunk. Helpers and stealers go through
-    // the same entry point, so this covers every runner kind.
+    // thread: work() must tag the thread with the region's request
+    // id for the duration of the chunk. The caller and pool helpers
+    // go through the same entry point, so this covers every runner
+    // kind.
     uint64_t seen = 999;
     auto state = std::make_shared<runtime::detail::RegionState>(
-        1, 1,
-        [&](std::size_t) { seen = obs::currentRequestId(); },
+        1, [&](std::size_t) { seen = obs::currentRequestId(); },
         nullptr, 42);
-    state->loadDeque(0, {0});
     std::thread t([&] {
         EXPECT_EQ(obs::currentRequestId(), 0u);
-        state->runAs(0);
+        state->work();
         // The tag is scoped to the region: restored on exit.
         EXPECT_EQ(obs::currentRequestId(), 0u);
     });

@@ -48,61 +48,26 @@ TEST(ThreadPool, StartupAndShutdown)
     }
 }
 
-TEST(ThreadPool, RunsSubmittedTasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 100; ++i)
-        futures.push_back(pool.submit([&counter] { ++counter; }));
-    for (auto &f : futures)
-        f.get();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, DrainsPendingTasksOnDestruction)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&counter] { ++counter; });
-    }
-    EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, SubmitFuturePropagatesException)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        [] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
-    // The pool survives a throwing task.
-    auto ok = pool.submit([] {});
-    EXPECT_NO_THROW(ok.get());
-}
-
 TEST(ThreadPool, DestructionAfterRegionRetiresIsClean)
 {
     // A locally-constructed pool may be destroyed the moment its
     // caller returns from waitDone: the region is no longer counted
-    // active, even though a late helper item may still be queued or
+    // active, even though a late helper offer may still be queued or
     // retiring (the destructor's join lets it retire harmlessly).
     ThreadPool pool(2);
     std::atomic<std::size_t> hits{0};
     auto state = std::make_shared<runtime::detail::RegionState>(
-        2, 4, [&](std::size_t) { ++hits; }, nullptr, 0);
-    state->loadDeque(0, {0, 2});
-    state->loadDeque(1, {1, 3});
+        4, [&](std::size_t) { ++hits; }, nullptr, 0);
     pool.dispatchRegion(state, 1);
     EXPECT_EQ(pool.activeRegions(), 1u);
-    state->runAs(0);
+    state->work();
     state->waitDone();
     state->rethrowIfFailed();
     EXPECT_EQ(hits.load(), 4u);
     EXPECT_EQ(pool.activeRegions(), 0u);
-    // No wait on activeRegionItems(): destructing through a late
-    // helper is exactly the case the active-region tripwire permits.
+    // No wait for the helper offer to retire: destructing through a
+    // late helper is exactly the case the active-region tripwire
+    // permits.
 }
 
 TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
@@ -119,7 +84,7 @@ TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
             std::atomic<bool> started{false};
             auto state =
                 std::make_shared<runtime::detail::RegionState>(
-                    2, 2,
+                    2,
                     [&](std::size_t) {
                         started.store(true);
                         for (;;)
@@ -127,7 +92,6 @@ TEST(ThreadPoolDeathTest, DestructionDuringActiveRegionAborts)
                                 std::chrono::hours(1));
                     },
                     nullptr, 0);
-            state->loadDeque(1, {0, 1});
             pool.dispatchRegion(state, 1);
             while (!started.load())
                 std::this_thread::yield();
@@ -313,7 +277,7 @@ TEST(GuidedScheduling, BoundariesAreAPureFunctionOfN)
 TEST(GuidedScheduling, ReduceCombinesInChunkOrder)
 {
     // Non-commutative combine under guided sizing: the decreasing
-    // chunk sizes and the stealing runners must not disturb the
+    // chunk sizes and the concurrent runners must not disturb the
     // ascending fold.
     auto run = [](std::size_t threads) {
         return runtime::parallel_reduce(
@@ -394,7 +358,7 @@ TEST(ThreadOptions, RejectsCountsAboveCeiling)
 }
 
 // --------------------------------------------------------------------
-// Exceptions under stealing
+// Exceptions across runners
 // --------------------------------------------------------------------
 
 TEST(StealingExceptions, NestedRegionExceptionReachesOuterCaller)
@@ -402,7 +366,7 @@ TEST(StealingExceptions, NestedRegionExceptionReachesOuterCaller)
     // A chunk of an outer multi-thread region opens an inner region
     // whose chunks throw: the inner region must rethrow in the outer
     // chunk, and the outer region must hand exactly that exception
-    // (message intact) to the outermost caller — under stealing and
+    // (message intact) to the outermost caller — across runners and
     // with oversubscribed runner counts.
     try {
         runtime::parallel_for(
@@ -622,66 +586,6 @@ TEST(WakeupLatency, SmallRegionsCompleteWithoutMillisecondStalls)
     EXPECT_EQ(sum.load(), std::size_t(regions));
     // 1 ms-scale stalls would put this at >= regions * 1e-3 seconds.
     EXPECT_LT(elapsed, 0.5e-3 * regions * timingSlack());
-}
-
-TEST(WakeupLatency, SingleSubmittedTaskCompletesPromptly)
-{
-    ThreadPool pool(2);
-    const int tasks = 100;
-    // qpad-lint: allow(no-wallclock) "wakeup-latency regression
-    // bound; timing never affects computed results"
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < tasks; ++i)
-        pool.submit([] {}).get();
-    // qpad-lint: allow(no-wallclock) "wakeup-latency regression
-    // bound; timing never affects computed results"
-    const double elapsed =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    EXPECT_LT(elapsed, 0.5e-3 * tasks * timingSlack());
-}
-
-// --------------------------------------------------------------------
-// RegionStats
-// --------------------------------------------------------------------
-
-TEST(RegionStats, CountsChunksAndRunners)
-{
-    runtime::RegionStats stats;
-    runtime::parallel_for(
-        Options{4, &stats}, 1000, 10,
-        [](std::size_t, std::size_t, std::size_t) {});
-    EXPECT_EQ(stats.chunks, 100u);
-    EXPECT_GE(stats.threads, 1u);
-    EXPECT_LE(stats.threads, 4u);
-    EXPECT_EQ(stats.chunks_per_runner.size(), stats.threads);
-    std::size_t total = 0;
-    for (std::size_t c : stats.chunks_per_runner)
-        total += c;
-    EXPECT_EQ(total, 100u);
-    EXPECT_LE(stats.steals, 100u);
-    EXPECT_GE(stats.max_idle_seconds, 0.0);
-}
-
-TEST(RegionStats, SequentialRegionReportsOneRunner)
-{
-    runtime::RegionStats stats;
-    uint64_t sum = runtime::parallel_reduce(
-        Options{1, &stats}, 100, 0, uint64_t{0},
-        [](std::size_t begin, std::size_t end, std::size_t) {
-            uint64_t s = 0;
-            for (std::size_t i = begin; i < end; ++i)
-                s += i;
-            return s;
-        },
-        [](uint64_t a, uint64_t b) { return a + b; });
-    EXPECT_EQ(sum, 4950u);
-    EXPECT_EQ(stats.threads, 1u);
-    EXPECT_GT(stats.chunks, 0u);
-    EXPECT_EQ(stats.steals, 0u);
-    ASSERT_EQ(stats.chunks_per_runner.size(), 1u);
-    EXPECT_EQ(stats.chunks_per_runner[0], stats.chunks);
 }
 
 // --------------------------------------------------------------------

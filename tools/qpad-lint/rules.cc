@@ -672,8 +672,8 @@ RuleRunner::ruleAtomicOrder()
             add("atomic-implicit-order", tk.line,
                 "atomic '." + tk.text +
                     "()' without an explicit memory_order: implicit "
-                    "seq_cst is reserved for the documented "
-                    "chunk-deque zone — spell the order");
+                    "seq_cst hides the intended ordering — spell "
+                    "the order");
     }
 }
 

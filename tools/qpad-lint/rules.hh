@@ -25,8 +25,7 @@
  *                         fingerprints, cache encodings, design
  *                         decisions)
  *   atomic-implicit-order atomic load/store/RMW without an explicit
- *                         memory_order argument (outside the
- *                         documented all-seq_cst chunk-deque zone)
+ *                         memory_order argument
  *   atomic-relaxed        memory_order_relaxed outside src/obs/ and
  *                         logging — relaxed is correct for stats,
  *                         suspicious for synchronization, so it
