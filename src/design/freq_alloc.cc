@@ -1,17 +1,57 @@
+/**
+ * @file
+ * Algorithm 3 and its candidate scan.
+ *
+ * Exactness of the interval-mask scan (countSurvivors). Fix one
+ * trial: every value but q's is a constant, and q's value at
+ * candidate c is qv(c) = fl(cand[c] + noise). In real arithmetic,
+ * each sub-condition of pairConditionMask / tripleConditionMask
+ * that reads q is an open window or a half-line of qv:
+ * - a pair with partner value x fires for qv within thr1 of x,
+ *   thr2 of x -+ d/2 or thr3 of x -+ d, or beyond x - d or x + d;
+ * - a triple with q outer and other outer value y fires for qv
+ *   within thr5 of y, thr6 of y -+ d or thr7 of 2 fj + d - y;
+ * - a triple with q the shared neighbour j fires for qv within
+ *   thr7 / 2 of (fk + fi - d) / 2. Its conditions 5 and 6 do not
+ *   read q: they kill every candidate or none.
+ * The grid index u = (qv - noise - cand[0]) / step turns each window
+ * into an open index interval whose candidates form one run. A pair
+ * joins condition 3's window around x -+ d and condition 4's
+ * half-line from there into one half-line when thr3 exceeds
+ * 2 kEdgeGhz: a candidate near the inner edge then lies well inside
+ * the window, so condition 3 kills it anyway.
+ *
+ * The floating-point predicate can disagree with the real one only
+ * where the real value is within a few ulps of a threshold (and
+ * since IEEE rounding is monotone, each edge flips once), and the
+ * grid, built by repeated addition, strays from cand[0] + c * step
+ * by a few ulps per point. With every value within kMaxGhz and the
+ * grid within kGridDriftGhz of its nominal points, all of that stays
+ * below 1e-10 GHz. A candidate more than kEdgeGhz (1e-8 GHz, i.e.
+ * 1e-6 index units on the 10 MHz grid) from a computed edge is
+ * therefore decided by the real-arithmetic run. The scan takes each
+ * run as computed, except the one candidate, if any, within kEdgeGhz
+ * of an edge: it settles that candidate by evaluating the term's own
+ * predicate (yield::pairCollides / tripleCollides, the same operands
+ * in the same order) there. Trials outside those bounds, and every
+ * trial on a grid or model that fails them, settle every candidate
+ * that way, so the survivor counts equal the predicate's on every
+ * input.
+ */
+
 #include "design/freq_alloc.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <queue>
 
 #include "common/gauss_block.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "yield/collision_batch.hh"
 
 namespace qpad::design
 {
@@ -21,6 +61,9 @@ using arch::DeviceConstants;
 using arch::Layout;
 using arch::PhysQubit;
 using yield::CollisionChecker;
+using yield::CollisionModel;
+using PairTerm = CollisionChecker::PairTerm;
+using TripleTerm = CollisionChecker::TripleTerm;
 
 PhysQubit
 centerQubit(const Layout &layout)
@@ -55,8 +98,8 @@ namespace
 /** Collision terms whose value depends on f(q), among assigned. */
 struct LocalTerms
 {
-    std::vector<CollisionChecker::PairTerm> pairs;
-    std::vector<CollisionChecker::TripleTerm> triples;
+    std::vector<PairTerm> pairs;
+    std::vector<TripleTerm> triples;
     std::vector<PhysQubit> involved; // q itself plus its term partners
 };
 
@@ -111,12 +154,397 @@ buildLocalTerms(const Architecture &arch, PhysQubit q,
     return terms;
 }
 
+/**
+ * Draw one visit of q: its terms and the common-random-numbers
+ * table. Lane draw order: one draw of the allocator's stream seeds a
+ * lane sampler (`sampler_seed`); trial t of each 8-trial block is
+ * lane t % 8, reading its involved-qubit deviates and then q's
+ * noise. The trailing block discards the unused lanes; they are
+ * independent streams, so the kept draws are the same for every
+ * trial-count remainder.
+ */
+detail::LocalScan
+drawLocalScan(const Architecture &arch, PhysQubit q,
+              const std::vector<bool> &assigned,
+              const std::vector<double> &freqs,
+              const FreqAllocOptions &options, uint64_t sampler_seed)
+{
+    const LocalTerms terms = buildLocalTerms(arch, q, assigned);
+    detail::LocalScan scan;
+    const std::size_t n_inv = terms.involved.size();
+    scan.n_inv = n_inv;
+
+    std::vector<std::size_t> index_of(arch.numQubits(), SIZE_MAX);
+    for (std::size_t idx = 0; idx < n_inv; ++idx)
+        index_of[terms.involved[idx]] = idx;
+    scan.qi = index_of[q];
+    scan.pairs.reserve(terms.pairs.size());
+    for (const auto &p : terms.pairs)
+        scan.pairs.push_back(
+            {PhysQubit(index_of[p.a]), PhysQubit(index_of[p.b])});
+    scan.triples.reserve(terms.triples.size());
+    for (const auto &t : terms.triples)
+        scan.triples.push_back({PhysQubit(index_of[t.j]),
+                                PhysQubit(index_of[t.k]),
+                                PhysQubit(index_of[t.i])});
+
+    const std::size_t trials = options.local_trials;
+    constexpr std::size_t B = GaussianBlockSampler::kLanes;
+    scan.post.resize(trials * n_inv);
+    scan.q_noise.resize(trials);
+    GaussianBlockSampler sampler(sampler_seed);
+    std::vector<double> means(n_inv + 1);
+    for (std::size_t idx = 0; idx < n_inv; ++idx)
+        means[idx] = freqs[terms.involved[idx]];
+    means[n_inv] = 0.0; // the q_noise row is pure noise
+    std::vector<double> z((n_inv + 1) * B);
+    for (std::size_t t0 = 0; t0 < trials; t0 += B) {
+        const std::size_t active = std::min(B, trials - t0);
+        sampler.fillAffine(z.data(), means.data(), options.sigma_ghz,
+                           n_inv + 1);
+        for (std::size_t l = 0; l < active; ++l) {
+            double *row = &scan.post[(t0 + l) * n_inv];
+            for (std::size_t idx = 0; idx < n_inv; ++idx)
+                row[idx] = z[idx * B + l];
+            scan.q_noise[t0 + l] = z[n_inv * B + l];
+        }
+    }
+    return scan;
+}
+
+// Bounds of the exactness argument in the file comment.
+constexpr double kEdgeGhz = 1e-8;
+constexpr double kMaxGhz = 1e3;
+constexpr double kGridDriftGhz = 1e-10;
+// Keeps kEdgeGhz under 0.01 index units: one candidate per edge.
+constexpr double kMinStepGhz = 1e-6;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Conditions 5 and 6: with q as the shared neighbour they skip q.
+constexpr unsigned kNoQConditions = (1u << 5) | (1u << 6);
+
+using Word = uint64_t;
+constexpr std::size_t kWordBits = 64;
+
+/** Bits of the candidates below c in one word (c clamped to 0..64). */
+inline Word
+below(std::ptrdiff_t c)
+{
+    const auto k = Word(std::clamp<std::ptrdiff_t>(c, 0, kWordBits));
+    return ((Word{1} << (k % kWordBits)) - 1) | (Word{0} - (k / kWordBits));
+}
+
+/**
+ * The interval-mask scan of one visit: its terms sorted by where q
+ * sits in them, and the collision model's windows in index units.
+ */
+class MaskScan
+{
+  public:
+    MaskScan(const detail::LocalScan &scan, const CollisionModel &model,
+             const std::vector<double> &candidates, double step_ghz);
+
+    /** Survivors per candidate over trials [begin, end). */
+    std::vector<std::size_t> tally(std::size_t begin,
+                                   std::size_t end) const;
+
+  private:
+    /**
+     * A term and q's partner in it: a pair's other end, or a
+     * triple's other outer qubit.
+     */
+    template <typename Term>
+    struct WithPartner
+    {
+        Term term;
+        std::size_t other;
+    };
+
+    const detail::LocalScan &scan_;
+    const CollisionModel &model_;
+    const std::vector<double> &cands_;
+    std::size_t words_;
+    std::vector<Word> valid_; // bits of real candidates
+    // Whether computed edges may be trusted for in-bound trials.
+    bool edges_ok_;
+    // Whether condition 3's window around x -+ d swallows the edge of
+    // condition 4's half-line there, so that each pair joins the two
+    // into one half-line starting at outer_.
+    bool merge34_;
+    double inv_step_, eps_;
+    // Half-widths and offsets of the windows, in index units.
+    double w1_, w2_, w3_, w5_, w6_, w7_, half_d_, d_, outer_;
+
+    std::vector<WithPartner<PairTerm>> pairs_;
+    std::vector<WithPartner<TripleTerm>> outers_; // q is k or i
+    std::vector<TripleTerm> centres_;             // q is j
+};
+
+MaskScan::MaskScan(const detail::LocalScan &scan,
+                   const CollisionModel &model,
+                   const std::vector<double> &candidates,
+                   double step_ghz)
+    : scan_(scan), model_(model), cands_(candidates)
+{
+    const std::size_t n = candidates.size();
+    words_ = (n + kWordBits - 1) / kWordBits;
+    valid_.assign(words_, ~Word{0});
+    if (n % kWordBits != 0)
+        valid_.back() = ~Word{0} >> (kWordBits - n % kWordBits);
+
+    auto bounded = [](double v) { return std::fabs(v) <= kMaxGhz; };
+    edges_ok_ = std::isfinite(step_ghz) && step_ghz >= kMinStepGhz &&
+                bounded(step_ghz) && bounded(model.delta) &&
+                bounded(model.thr1) && bounded(model.thr2) &&
+                bounded(model.thr3) && bounded(model.thr5) &&
+                bounded(model.thr6) && bounded(model.thr7);
+    for (std::size_t c = 0; c < n && edges_ok_; ++c)
+        edges_ok_ = bounded(candidates[c]) &&
+                    std::fabs(candidates[c] -
+                              (candidates[0] + double(c) * step_ghz)) <=
+                        kGridDriftGhz;
+
+    inv_step_ = 1.0 / step_ghz;
+    eps_ = kEdgeGhz * inv_step_;
+    w1_ = model.thr1 * inv_step_;
+    w2_ = model.thr2 * inv_step_;
+    w3_ = model.thr3 * inv_step_;
+    w5_ = model.thr5 * inv_step_;
+    w6_ = model.thr6 * inv_step_;
+    w7_ = model.thr7 * inv_step_;
+    half_d_ = -model.delta / 2 * inv_step_;
+    d_ = -model.delta * inv_step_;
+    // A candidate within eps_ of the inner edge is then decided by
+    // condition 3, at least eps_ inside its window.
+    merge34_ = w3_ > 2 * eps_;
+    outer_ = merge34_ ? d_ - w3_ : d_;
+
+    const std::size_t qi = scan.qi;
+    for (const PairTerm &p : scan.pairs) {
+        qpad_assert((p.a == qi) != (p.b == qi),
+                    "pair term must contain q exactly once");
+        pairs_.push_back({p, p.a == qi ? p.b : p.a});
+    }
+    for (const TripleTerm &t : scan.triples) {
+        qpad_assert((t.j == qi) + (t.k == qi) + (t.i == qi) == 1,
+                    "triple term must contain q exactly once");
+        if (t.j == qi)
+            centres_.push_back(t);
+        else
+            outers_.push_back({t, t.k == qi ? t.i : t.k});
+    }
+}
+
+std::vector<std::size_t>
+MaskScan::tally(std::size_t begin, std::size_t end) const
+{
+    const std::size_t n = cands_.size();
+    const double n_d = double(n);
+    const std::size_t qi = scan_.qi;
+    // A local copy: stores through `dead` could alias a member.
+    const std::size_t words = words_;
+    // Survivor counts, bit-sliced: bit c of plane k is bit k of
+    // candidate c's count. Adding a trial's survivor mask ripples a
+    // carry through a few planes; no count can reach 2^planes.
+    const std::size_t planes = std::bit_width(end - begin);
+    std::vector<Word> counter(planes * words, 0);
+    std::vector<Word> dead_words(words);
+    Word *dead = dead_words.data();
+    // Candidates within eps_ of an edge of the current term; a pair
+    // term has at most 12 edges.
+    std::array<std::size_t, 16> near{};
+    std::size_t n_near = 0;
+
+    for (std::size_t t = begin; t < end; ++t) {
+        const double *row = &scan_.post[t * scan_.n_inv];
+        const double noise = scan_.q_noise[t];
+        auto at = [&](std::size_t idx, std::size_t c) {
+            return idx == qi ? cands_[c] + noise : row[idx];
+        };
+
+        bool none_survive = false;
+        for (const TripleTerm &tr : centres_)
+            none_survive |= (yield::tripleConditionMask(
+                                 model_, 0.0, row[tr.k], row[tr.i]) &
+                             kNoQConditions) != 0;
+        if (none_survive)
+            continue;
+
+        bool edges_ok = edges_ok_ && std::fabs(noise) <= kMaxGhz;
+        for (std::size_t idx = 0; idx < scan_.n_inv; ++idx)
+            edges_ok &= idx == qi || std::fabs(row[idx]) <= kMaxGhz;
+        std::fill(dead, dead + words, Word{0});
+
+        // Index position of the candidate whose qv equals `ghz`.
+        const double shift = cands_[0] + noise;
+        auto index = [&](double ghz) { return (ghz - shift) * inv_step_; };
+        auto edge = [&](std::ptrdiff_t c) {
+            if (c >= 0 && std::size_t(c) < n)
+                near[n_near++] = std::size_t(c);
+        };
+        // Kill the candidates in the open index interval (lo, hi),
+        // leaving any within eps_ of an edge to settle(). Edges are
+        // clamped half a step outside the grid, where no candidate
+        // is near them.
+        auto run = [&](double lo, double hi) {
+            if (!(hi > -1.0 && lo < n_d))
+                return;
+            const double a = std::min(std::max(lo, -0.5), n_d - 0.5) + 1;
+            const double b = std::min(std::max(hi, -0.5), n_d - 0.5) + 1;
+            // first: the first candidate above lo; past: one past the
+            // last candidate below hi.
+            auto first = std::ptrdiff_t(a), past = std::ptrdiff_t(b);
+            const double fa = a - double(first), fb = b - double(past);
+            if (std::fabs(fa - 0.5) > 0.5 - eps_ ||
+                std::fabs(fb - 0.5) > 0.5 - eps_) [[unlikely]] {
+                if (fa < eps_)
+                    edge(first - 1);
+                else if (fa > 1 - eps_)
+                    edge(first++);
+                if (fb < eps_)
+                    edge(--past);
+                else if (fb > 1 - eps_)
+                    edge(past);
+            }
+            for (std::size_t w = 0; w < words; ++w) {
+                const auto base = std::ptrdiff_t(w * kWordBits);
+                dead[w] |= below(past - base) & ~below(first - base);
+            }
+        };
+        auto window = [&](double centre, double half_width) {
+            run(centre - half_width, centre + half_width);
+        };
+        // Decide the candidates the runs left open with the term's
+        // own predicate: those near an edge, or all of them when the
+        // edges cannot be trusted.
+        auto settle = [&](auto &&collides) {
+            auto check = [&](std::size_t c) {
+                if (!((dead[c / kWordBits] >> (c % kWordBits)) & 1u) &&
+                    collides(c))
+                    dead[c / kWordBits] |= Word{1} << (c % kWordBits);
+            };
+            if (!edges_ok) {
+                for (std::size_t c = 0; c < n; ++c)
+                    check(c);
+                return;
+            }
+            for (std::size_t e = 0; e < n_near; ++e)
+                check(near[e]);
+            n_near = 0;
+        };
+
+        for (const auto &[p, other] : pairs_) {
+            if (edges_ok) {
+                const double s = index(row[other]);
+                window(s, w1_);
+                window(s + half_d_, w2_);
+                window(s - half_d_, w2_);
+                run(s + outer_, kInf);
+                run(-kInf, s - outer_);
+                if (!merge34_) {
+                    window(s + d_, w3_);
+                    window(s - d_, w3_);
+                }
+            }
+            settle([&](std::size_t c) {
+                return yield::pairCollides(model_, at(p.a, c),
+                                           at(p.b, c));
+            });
+        }
+        for (const auto &[tr, other] : outers_) {
+            if (edges_ok) {
+                const double y = row[other];
+                const double s = index(y);
+                window(s, w5_);
+                window(s + d_, w6_);
+                window(s - d_, w6_);
+                window(index(2 * row[tr.j] + model_.delta - y), w7_);
+            }
+            settle([&](std::size_t c) {
+                return yield::tripleCollides(model_, at(tr.j, c),
+                                             at(tr.k, c), at(tr.i, c));
+            });
+        }
+        for (const TripleTerm &tr : centres_) {
+            if (edges_ok)
+                window(index((row[tr.k] + row[tr.i] - model_.delta) / 2),
+                       w7_ / 2);
+            settle([&](std::size_t c) {
+                return yield::tripleCollides(model_, at(tr.j, c),
+                                             at(tr.k, c), at(tr.i, c));
+            });
+        }
+
+        for (std::size_t w = 0; w < words; ++w) {
+            Word carry = ~dead[w] & valid_[w];
+            for (Word *plane = &counter[w]; carry != 0; plane += words) {
+                const Word next = *plane & carry;
+                *plane ^= carry;
+                carry = next;
+            }
+        }
+    }
+
+    std::vector<std::size_t> counts(n, 0);
+    for (std::size_t c = 0; c < n; ++c)
+        for (std::size_t k = 0; k < planes; ++k)
+            counts[c] |= std::size_t((counter[k * words + c / kWordBits] >>
+                                      (c % kWordBits)) & 1u)
+                         << k;
+    return counts;
+}
+
 } // namespace
+
+namespace detail
+{
+
+std::vector<double>
+candidateGrid(double step_ghz)
+{
+    if (!std::isfinite(step_ghz) || step_ghz <= 0.0)
+        qpad_fatal("frequency grid step must be a positive number of "
+                   "GHz, got ", step_ghz);
+    std::vector<double> candidates;
+    for (double f = DeviceConstants::freq_min_ghz;
+         f <= DeviceConstants::freq_max_ghz + 1e-9; f += step_ghz)
+        candidates.push_back(f);
+    return candidates;
+}
+
+std::vector<std::size_t>
+countSurvivors(const LocalScan &scan, const CollisionModel &model,
+               const std::vector<double> &candidates, double step_ghz,
+               const runtime::Options &exec)
+{
+    const std::size_t n = candidates.size();
+    const std::size_t trials = scan.trials();
+    if (n == 0 || trials == 0)
+        return std::vector<std::size_t>(n, 0);
+    const MaskScan mask_scan(scan, model, candidates, step_ghz);
+    // One chunk of trials per worker: a chunk's cost is its trials,
+    // so equal chunks balance, and each candidate scan stays one
+    // parallel region. Integer sums make the counts independent of
+    // the chunking.
+    const std::size_t workers = runtime::resolveThreads(exec);
+    const std::size_t grain = (trials + workers - 1) / workers;
+    return runtime::parallel_reduce(
+        exec, trials, grain, std::vector<std::size_t>(n, 0),
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+            return mask_scan.tally(begin, end);
+        },
+        [](std::vector<std::size_t> acc,
+           const std::vector<std::size_t> &part) {
+            for (std::size_t c = 0; c < acc.size(); ++c)
+                acc[c] += part[c];
+            return acc;
+        });
+}
 
 FreqAllocResult
 allocateFrequencies(const Architecture &arch,
                     const FreqAllocOptions &options,
-                    const exec::Context &ctx)
+                    const exec::Context &ctx, SurvivorCounter count)
 {
     const std::size_t n = arch.numQubits();
     qpad_assert(n > 0, "cannot allocate frequencies on an empty chip");
@@ -127,11 +555,8 @@ allocateFrequencies(const Architecture &arch,
     const runtime::Options run_exec = ctx.apply(options.exec);
 
     // Candidate grid 5.00, 5.01, ..., 5.34 GHz.
-    std::vector<double> candidates;
-    for (double f = DeviceConstants::freq_min_ghz;
-         f <= DeviceConstants::freq_max_ghz + 1e-9;
-         f += options.grid_step_ghz)
-        candidates.push_back(f);
+    const std::vector<double> candidates =
+        candidateGrid(options.grid_step_ghz);
 
     FreqAllocResult result;
     result.freqs.assign(n, 0.0);
@@ -165,179 +590,20 @@ allocateFrequencies(const Architecture &arch,
         // for zero-trial runs.
         if (options.local_trials == 0)
             return {mid, 0.0};
-        LocalTerms terms = buildLocalTerms(arch, q, assigned);
-        const std::size_t n_inv = terms.involved.size();
-
-        // Translate terms into local indices once.
-        std::vector<std::size_t> index_of(n, SIZE_MAX);
-        for (std::size_t idx = 0; idx < n_inv; ++idx)
-            index_of[terms.involved[idx]] = idx;
-        const std::size_t qi = index_of[q];
-
-        // Terms re-indexed into the local involved set; the same
-        // lists drive the scalar oracle and the batched kernel.
-        std::vector<CollisionChecker::PairTerm> pairs;
-        pairs.reserve(terms.pairs.size());
-        for (const auto &p : terms.pairs)
-            pairs.push_back({PhysQubit(index_of[p.a]),
-                             PhysQubit(index_of[p.b])});
-        std::vector<CollisionChecker::TripleTerm> triples;
-        triples.reserve(terms.triples.size());
-        for (const auto &t : terms.triples)
-            triples.push_back({PhysQubit(index_of[t.j]),
-                               PhysQubit(index_of[t.k]),
-                               PhysQubit(index_of[t.i])});
-
-        // Common random numbers: one post-fabrication frequency table
-        // shared by all candidates (only q's own entry varies), so the
-        // argmax is not washed out by sampling variance. The table is
-        // generated ahead of the scan from the allocator's single RNG
-        // stream; candidate evaluation below only reads it, which is
-        // what makes the candidate scan safely parallel.
-        const std::size_t trials = options.local_trials;
-        std::vector<double> post(trials * n_inv);
-        std::vector<double> q_noise(trials);
-        // Lane draw order: one rng.next() seeds a lane sampler;
-        // trial t of each 8-trial block is lane t % 8, reading its
-        // involved-qubit deviates and then its candidate noise. The
-        // trailing block discards the unused lanes — they are
-        // independent streams, so the kept draws are the same for
-        // every `trials` remainder.
-        {
-            constexpr std::size_t B = GaussianBlockSampler::kLanes;
-            GaussianBlockSampler sampler(rng.next());
-            std::vector<double> means(n_inv + 1);
-            for (std::size_t idx = 0; idx < n_inv; ++idx)
-                means[idx] = result.freqs[terms.involved[idx]];
-            means[n_inv] = 0.0; // the q_noise row is pure noise
-            std::vector<double> z((n_inv + 1) * B);
-            for (std::size_t t0 = 0; t0 < trials; t0 += B) {
-                const std::size_t active = std::min(B, trials - t0);
-                sampler.fillAffine(z.data(), means.data(),
-                                   options.sigma_ghz, n_inv + 1);
-                for (std::size_t l = 0; l < active; ++l) {
-                    double *row = &post[(t0 + l) * n_inv];
-                    for (std::size_t idx = 0; idx < n_inv; ++idx)
-                        row[idx] = z[idx * B + l];
-                    q_noise[t0 + l] = z[n_inv * B + l];
-                }
-            }
-        }
-
-        // Batched evaluation transposes the CRN table once into
-        // qubit-major lane blocks; per candidate only q's lanes are
-        // overwritten on a scratch copy, and the kernel sees exactly
-        // the values the scalar oracle reads through at(), so the
-        // scores — and the committed argmax — are identical.
-        constexpr std::size_t B = yield::BatchCollisionChecker::kLanes;
-        const bool batched = yield::useBatchedKernel();
-        const std::size_t n_blocks = (trials + B - 1) / B;
-        const std::size_t block_doubles = n_inv * B;
-        yield::BatchCollisionChecker batch;
-        std::vector<double> blocks;
-        if (batched) {
-            batch = yield::BatchCollisionChecker(pairs, triples,
-                                                 options.model);
-            blocks.assign(n_blocks * block_doubles, 0.0);
-            for (std::size_t t = 0; t < trials; ++t)
-                for (std::size_t idx = 0; idx < n_inv; ++idx)
-                    blocks[yield::BatchCollisionChecker::soaIndex(
-                        t, idx, n_inv)] = post[t * n_inv + idx];
-        }
-
-        // Every term involves q by construction; index qi is
-        // substituted with the candidate value at read time (scalar)
-        // or written into the scratch block's lanes (batched)
-        // instead of being stored in the shared table.
-        // One fixed chunk per worker: the batched branch streams the
-        // CRN block table once per chunk, so finer chunks — and in
-        // particular guided sizing (grain 0), whose tail degenerates
-        // to single-candidate chunks — would re-stream the table per
-        // candidate. Candidate costs are uniform (same table, same
-        // term lists), so there is no skew for guided to fix. Note
-        // the trade-off this grain accepts: with exactly one chunk
-        // per runner there is nothing left on the cursor to
-        // rebalance, so if candidate costs ever became non-uniform
-        // this site would need a finer grain first. Scores depend only on the read-only table,
-        // so the chunking (unlike the table generation above) is
-        // free to vary with the thread count.
-        const std::size_t workers =
-            runtime::resolveThreads(run_exec);
-        const std::size_t grain =
-            (candidates.size() + workers - 1) / workers;
-        std::vector<double> scores(candidates.size());
-        runtime::parallel_for(
-            run_exec, candidates.size(), grain,
-            [&](std::size_t begin, std::size_t end, std::size_t) {
-                if (batched) {
-                    // Blocks outer, candidates inner: each block is
-                    // copied into the scratch once and only qubit
-                    // qi's lanes are rewritten per candidate, so the
-                    // CRN table is streamed once per worker instead
-                    // of once per candidate.
-                    std::vector<double> scratch(block_doubles);
-                    std::vector<std::size_t> ok(end - begin, 0);
-                    for (std::size_t bi = 0; bi < n_blocks; ++bi) {
-                        const std::size_t t0 = bi * B;
-                        const std::size_t active =
-                            std::min(B, trials - t0);
-                        std::memcpy(scratch.data(),
-                                    &blocks[bi * block_doubles],
-                                    block_doubles * sizeof(double));
-                        for (std::size_t ci = begin; ci < end; ++ci) {
-                            for (std::size_t l = 0; l < active; ++l)
-                                scratch[qi * B + l] =
-                                    candidates[ci] + q_noise[t0 + l];
-                            ok[ci - begin] += std::size_t(
-                                std::popcount(batch.survivorMask(
-                                    scratch.data(), active)));
-                        }
-                    }
-                    for (std::size_t ci = begin; ci < end; ++ci)
-                        scores[ci] =
-                            double(ok[ci - begin]) / double(trials);
-                    return;
-                }
-                for (std::size_t ci = begin; ci < end; ++ci) {
-                    const double cand = candidates[ci];
-                    std::size_t ok = 0;
-                    for (std::size_t t = 0; t < trials; ++t) {
-                        const double *row = &post[t * n_inv];
-                        const double qv = cand + q_noise[t];
-                        auto at = [&](std::size_t idx) {
-                            return idx == qi ? qv : row[idx];
-                        };
-                        bool failed = false;
-                        for (const auto &p : pairs) {
-                            if (yield::pairCollides(options.model,
-                                                    at(p.a), at(p.b))) {
-                                failed = true;
-                                break;
-                            }
-                        }
-                        if (!failed) {
-                            for (const auto &tr : triples) {
-                                if (yield::tripleCollides(
-                                        options.model, at(tr.j),
-                                        at(tr.k), at(tr.i))) {
-                                    failed = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if (!failed)
-                            ++ok;
-                    }
-                    scores[ci] = double(ok) / double(trials);
-                }
-            });
+        const LocalScan scan = drawLocalScan(
+            arch, q, assigned, result.freqs, options, rng.next());
+        const std::vector<std::size_t> ok =
+            count(scan, options.model, candidates,
+                  options.grid_step_ghz, run_exec);
 
         // First strict maximum, matching the sequential scan order.
         double best_score = -1.0;
         double best_freq = mid;
         for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-            if (scores[ci] > best_score) {
-                best_score = scores[ci];
+            const double score =
+                double(ok[ci]) / double(options.local_trials);
+            if (score > best_score) {
+                best_score = score;
                 best_freq = candidates[ci];
             }
         }
@@ -394,6 +660,17 @@ allocateFrequencies(const Architecture &arch,
     }
 
     return result;
+}
+
+} // namespace detail
+
+FreqAllocResult
+allocateFrequencies(const Architecture &arch,
+                    const FreqAllocOptions &options,
+                    const exec::Context &ctx)
+{
+    return detail::allocateFrequencies(arch, options, ctx,
+                                       &detail::countSurvivors);
 }
 
 void

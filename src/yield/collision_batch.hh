@@ -1,7 +1,9 @@
 /**
  * @file
  * Batched structure-of-arrays collision kernel — the hot path of the
- * yield Monte Carlo.
+ * yield Monte Carlo (estimateYield). Algorithm 3's candidate scan
+ * uses neither this kernel nor the scalar walk: it places collision
+ * runs on the candidate grid (design::detail::countSurvivors).
  *
  * The scalar CollisionChecker walks pair/triple terms with early
  * exits: fast for one trial that dies on its first term, but branchy
@@ -29,7 +31,7 @@
  * kernels agree bit-for-bit on every trial (tests/test_yield.cc
  * asserts this trial-for-trial, including remainder batches).
  * Setting QPAD_SCALAR_KERNEL non-empty in the environment makes
- * every call site fall back to the scalar oracle.
+ * the yield estimate fall back to the scalar oracle.
  */
 
 #ifndef QPAD_YIELD_COLLISION_BATCH_HH

@@ -73,7 +73,10 @@ estimateYield(const arch::Architecture &arch,
               const YieldOptions &options = {},
               const exec::Context &ctx = exec::Context::none());
 
-/** Same, reusing a prebuilt checker (hot path of Algorithm 3). */
+/**
+ * Same, reusing a prebuilt checker; the Architecture overload builds
+ * one and calls this.
+ */
 YieldResult
 estimateYield(const CollisionChecker &checker,
               const std::vector<double> &pre_fab_freqs,

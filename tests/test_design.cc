@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 #include "benchmarks/generators.hh"
-#include "scoped_scalar_kernel.hh"
 #include "benchmarks/suite.hh"
+#include "common/rng.hh"
 #include "design/design_flow.hh"
+#include "freq_alloc_oracle.hh"
 #include "profile/coupling.hh"
+#include "scoped_scalar_kernel.hh"
 #include "yield/yield_sim.hh"
 
 namespace
@@ -301,22 +308,242 @@ TEST(FreqAlloc, DeterministicForEqualSeeds)
 
 TEST(FreqAlloc, ScalarKernelEnvIsBitIdentical)
 {
-    // The batched candidate scan must commit the exact frequencies
-    // the scalar oracle picks — any score divergence would surface
-    // as a different argmax somewhere in the sweep. 301 trials also
-    // exercises the remainder batch (301 % 8 == 5).
+    // The interval-mask scan must commit the exact frequencies and
+    // scores of the reference scan over the scalar predicates; any
+    // count divergence would surface as a different argmax or score
+    // somewhere in the sweep. 301 trials split unevenly over the
+    // workers; the 5 MHz grid needs two mask words. The scan has no
+    // kernel switch, so QPAD_SCALAR_KERNEL must change nothing.
     Architecture arch(Layout::grid(2, 4));
     arch.addFourQubitBus({0, 1});
     FreqAllocOptions opts;
     opts.local_trials = 301;
-    auto batched = allocateFrequencies(arch, opts);
-    FreqAllocResult scalar;
-    {
-        qpad::test::ScopedScalarKernel forced;
-        scalar = allocateFrequencies(arch, opts);
+    for (double step : {0.02, 0.01, 0.005}) {
+        opts.grid_step_ghz = step;
+        const auto masked = allocateFrequencies(arch, opts);
+        const auto oracle = design::detail::allocateFrequencies(
+            arch, opts, exec::Context::none(), &test::oracleSurvivors);
+        EXPECT_EQ(masked.freqs, oracle.freqs) << step;
+        EXPECT_EQ(masked.local_scores, oracle.local_scores) << step;
+        FreqAllocResult forced_env;
+        {
+            qpad::test::ScopedScalarKernel forced;
+            forced_env = allocateFrequencies(arch, opts);
+        }
+        EXPECT_EQ(masked.freqs, forced_env.freqs) << step;
     }
-    EXPECT_EQ(batched.freqs, scalar.freqs);
-    EXPECT_EQ(batched.local_scores, scalar.local_scores);
+}
+
+TEST(FreqAlloc, RejectsNonPositiveOrNonFiniteGridStep)
+{
+    // A step of zero or less would grow the grid until memory runs
+    // out, and NaN would end it after one point.
+    Architecture arch(Layout::grid(2, 2));
+    FreqAllocOptions opts;
+    opts.local_trials = 10;
+    for (double step :
+         {0.0, -0.01, std::numeric_limits<double>::quiet_NaN()}) {
+        opts.grid_step_ghz = step;
+        EXPECT_THROW(allocateFrequencies(arch, opts), std::runtime_error)
+            << step;
+        EXPECT_THROW(design::detail::candidateGrid(step), std::runtime_error)
+            << step;
+    }
+}
+
+// --------------------------------------------------------------------
+// Algorithm 3 candidate scan: interval masks vs the scalar oracle
+// --------------------------------------------------------------------
+
+/** n grid points from the band floor, added up like candidateGrid. */
+std::vector<double>
+accumulatedGrid(double step, std::size_t n)
+{
+    std::vector<double> grid;
+    double f = arch::DeviceConstants::freq_min_ghz;
+    for (std::size_t c = 0; c < n; ++c, f += step)
+        grid.push_back(f);
+    return grid;
+}
+
+/**
+ * A scan over involved qubits 0..4 with q = 2 in every position a
+ * term can hold it: both pair endpoints, and j, k and i of a triple.
+ */
+design::detail::LocalScan
+everyPositionScan(std::size_t trials)
+{
+    design::detail::LocalScan scan;
+    scan.n_inv = 5;
+    scan.qi = 2;
+    scan.pairs = {{2, 0}, {1, 2}};
+    scan.triples = {{2, 0, 1}, {3, 2, 4}, {0, 3, 2}};
+    scan.post.assign(trials * scan.n_inv, 0.0);
+    scan.q_noise.assign(trials, 0.0);
+    return scan;
+}
+
+/** v moved by `ulps` units in the last place. */
+double
+nudge(double v, int ulps)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (; ulps > 0; --ulps)
+        v = std::nextafter(v, inf);
+    for (; ulps < 0; ++ulps)
+        v = std::nextafter(v, -inf);
+    return v;
+}
+
+template <std::size_t N>
+double
+pick(Rng &rng, const double (&options)[N])
+{
+    return options[rng.below(N)];
+}
+
+/**
+ * Fill trial t with random values around the band. An adversarial
+ * trial then sets one partner value so that an edge of a random
+ * sub-condition of a random term falls on the qv of a random
+ * candidate, and moves it by -2..2 ulps.
+ */
+void
+fillTrial(design::detail::LocalScan &scan, std::size_t t,
+          const std::vector<double> &candidates,
+          const yield::CollisionModel &m, Rng &rng, bool adversarial)
+{
+    double *row = &scan.post[t * scan.n_inv];
+    for (std::size_t idx = 0; idx < scan.n_inv; ++idx)
+        row[idx] = rng.uniform(4.9, 5.45);
+    scan.q_noise[t] = rng.gaussian(0.0, 0.03);
+    if (!adversarial)
+        return;
+
+    const double qv =
+        candidates[rng.below(candidates.size())] + scan.q_noise[t];
+    const double d = m.delta;
+    const std::size_t qi = scan.qi;
+    const std::size_t term =
+        rng.below(scan.pairs.size() + scan.triples.size());
+    double *target = nullptr;
+    if (term < scan.pairs.size()) {
+        const auto &p = scan.pairs[term];
+        target = &row[p.a == qi ? p.b : p.a];
+        const double offsets[] = {
+            m.thr1,          -m.thr1,          d / 2 + m.thr2,
+            d / 2 - m.thr2,  -d / 2 + m.thr2,  -d / 2 - m.thr2,
+            d + m.thr3,      d - m.thr3,       -d + m.thr3,
+            -d - m.thr3,     d,                -d};
+        *target = qv + pick(rng, offsets);
+    } else {
+        const auto &tr = scan.triples[term - scan.pairs.size()];
+        const double c7[] = {m.thr7, -m.thr7};
+        if (tr.j == qi) {
+            // Condition 7 around q, or the q-independent 5 and 6.
+            target = &row[tr.i];
+            if (rng.chance(0.5)) {
+                *target = 2 * qv + d + pick(rng, c7) - row[tr.k];
+            } else {
+                const double offsets[] = {m.thr5,      -m.thr5,
+                                          -d + m.thr6, -d - m.thr6,
+                                          d + m.thr6,  d - m.thr6};
+                *target = row[tr.k] + pick(rng, offsets);
+            }
+        } else {
+            const std::size_t other = tr.k == qi ? tr.i : tr.k;
+            if (rng.chance(0.5)) {
+                target = &row[other];
+                const double offsets[] = {m.thr5,     -m.thr5,
+                                          d + m.thr6, d - m.thr6,
+                                          -d + m.thr6, -d - m.thr6};
+                *target = qv + pick(rng, offsets);
+            } else {
+                target = &row[tr.j];
+                *target = (qv + row[other] - d + pick(rng, c7)) / 2;
+            }
+        }
+    }
+    *target = nudge(*target, int(rng.below(5)) - 2);
+}
+
+std::vector<std::size_t>
+maskedAt(const design::detail::LocalScan &scan, const yield::CollisionModel &m,
+         const std::vector<double> &candidates, double step,
+         std::size_t threads)
+{
+    runtime::Options exec;
+    exec.num_threads = threads;
+    return design::detail::countSurvivors(scan, m, candidates, step, exec);
+}
+
+TEST(FreqAllocMask, GridsMatchCandidateGrid)
+{
+    EXPECT_EQ(accumulatedGrid(0.01, 35), design::detail::candidateGrid(0.01));
+    EXPECT_EQ(accumulatedGrid(0.005, 69), design::detail::candidateGrid(0.005));
+}
+
+TEST(FreqAllocMask, MatchesScalarOracleOnRandomAndEdgeRows)
+{
+    // Edges land within an ulp of a candidate's qv in three of four
+    // trials; 64, 65 and 69 points cross the mask word boundary.
+    const yield::CollisionModel model;
+    Rng rng(2024);
+    const std::pair<double, std::size_t> grids[] = {
+        {0.01, 35}, {0.005, 64}, {0.005, 65}, {0.005, 69}};
+    for (const auto &[step, n] : grids) {
+        const auto candidates = accumulatedGrid(step, n);
+        for (std::size_t trials : {1u, 7u, 301u}) {
+            auto scan = everyPositionScan(trials);
+            for (std::size_t t = 0; t < trials; ++t)
+                fillTrial(scan, t, candidates, model, rng,
+                          rng.chance(0.75));
+            const auto expected = test::oracleSurvivors(
+                scan, model, candidates, step, {});
+            for (std::size_t threads : {1u, 2u, 4u})
+                EXPECT_EQ(maskedAt(scan, model, candidates, step,
+                                   threads),
+                          expected)
+                    << n << " candidates, " << trials << " trials, "
+                    << threads << " threads";
+        }
+    }
+}
+
+TEST(FreqAllocMask, ExactOffTheBoundedPath)
+{
+    // Values the edge arithmetic does not cover (non-finite, far off
+    // band), an irregular grid, and models with empty or overlapping
+    // windows are settled by the predicates themselves.
+    Rng rng(77);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto grid = accumulatedGrid(0.01, 35);
+    auto irregular = grid;
+    irregular[17] += 1e-6;
+
+    yield::CollisionModel zero;
+    zero.thr1 = zero.thr2 = zero.thr3 = 0.0;
+    zero.thr5 = zero.thr6 = zero.thr7 = 0.0;
+    yield::CollisionModel wide;
+    wide.thr2 = 0.2;
+    wide.delta = -0.1;
+
+    auto scan = everyPositionScan(200);
+    for (std::size_t t = 0; t < 200; ++t) {
+        fillTrial(scan, t, grid, {}, rng, t % 2 == 0);
+        const double odd[] = {nan, inf, -inf, 1e6, -3e5};
+        if (t % 5 == 0)
+            scan.post[t * scan.n_inv + rng.below(scan.n_inv)] =
+                pick(rng, odd);
+        if (t % 7 == 0)
+            scan.q_noise[t] = pick(rng, odd);
+    }
+    for (const auto &cands : {grid, irregular})
+        for (const auto &model : {yield::CollisionModel{}, zero, wide})
+            EXPECT_EQ(maskedAt(scan, model, cands, 0.01, 2),
+                      test::oracleSurvivors(scan, model, cands, 0.01,
+                                            {}));
 }
 
 TEST(FreqAlloc, BeatsFiveFrequencySchemeOnDesignedLayout)

@@ -25,6 +25,7 @@
 #include "common/gauss_block.hh"
 #include "common/rng.hh"
 #include "design/freq_alloc.hh"
+#include "freq_alloc_oracle.hh"
 #include "scoped_scalar_kernel.hh"
 #include "yield/yield_sim.hh"
 
@@ -268,13 +269,11 @@ TEST(FreqAllocScheme, V2IdenticalAcrossThreadCountsAndKernels)
     const auto par = design::allocateFrequencies(arch, opts);
     EXPECT_EQ(seq.freqs, par.freqs);
     EXPECT_EQ(seq.local_scores, par.local_scores);
-    design::FreqAllocResult scalar;
-    {
-        ScopedScalarKernel forced;
-        scalar = design::allocateFrequencies(arch, opts);
-    }
-    EXPECT_EQ(seq.freqs, scalar.freqs);
-    EXPECT_EQ(seq.local_scores, scalar.local_scores);
+    // The reference scan over the scalar predicates.
+    const auto oracle = design::detail::allocateFrequencies(
+        arch, opts, exec::Context::none(), &test::oracleSurvivors);
+    EXPECT_EQ(seq.freqs, oracle.freqs);
+    EXPECT_EQ(seq.local_scores, oracle.local_scores);
 }
 
 } // namespace
