@@ -15,6 +15,11 @@
  *    kernel's short-circuit is at its best (the batch relies on its
  *    all-lanes-dead early-out here).
  *
+ * On builds without AVX2 (-DQPAD_NO_AVX2=ON, or a host whose CPU
+ * fails the CMake probe) survivorMask is a per-lane early-exit walk
+ * over the same scalar predicates, so the "batch" column then times
+ * that walk against the trial-major scalar one.
+ *
  * The two kernels must agree trial-for-trial; any mismatch exits
  * nonzero. QPAD_FAST reduces the trial budget.
  */

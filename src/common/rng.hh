@@ -89,7 +89,7 @@ class Rng
      * reads its deviates from its own lane row by row. The order is
      * a pure function of (seed, shard layout), so it is
      * bit-identical across thread counts, batch remainders, and
-     * collision-kernel choices.
+     * AVX2/non-AVX2 builds.
      */
     static uint64_t childSeed(uint64_t seed, uint64_t stream);
 

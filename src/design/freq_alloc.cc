@@ -546,6 +546,11 @@ allocateFrequencies(const Architecture &arch,
                     const FreqAllocOptions &options,
                     const exec::Context &ctx, SurvivorCounter count)
 {
+    // A NaN sigma makes every collision comparison false: each
+    // candidate would score 1.0 and the band floor would win.
+    if (!std::isfinite(options.sigma_ghz) || options.sigma_ghz < 0.0)
+        qpad_fatal("fabrication sigma must be a finite number of GHz "
+                   ">= 0, got ", options.sigma_ghz);
     const std::size_t n = arch.numQubits();
     qpad_assert(n > 0, "cannot allocate frequencies on an empty chip");
 

@@ -46,7 +46,7 @@ struct FreqAllocOptions
     double grid_step_ghz = 0.01;
     /** Monte Carlo trials per candidate evaluation. */
     std::size_t local_trials = 2000;
-    /** Fabrication noise assumed during optimization. */
+    /** Fabrication noise assumed during optimization (finite, >= 0). */
     double sigma_ghz = arch::DeviceConstants::default_sigma_ghz;
     /** Collision thresholds. */
     yield::CollisionModel model = {};

@@ -1,9 +1,5 @@
 #include "yield/collision_batch.hh"
 
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-
 #ifdef __AVX2__
 #include <immintrin.h>
 #endif
@@ -12,17 +8,17 @@ namespace qpad::yield
 {
 
 BatchCollisionChecker::BatchCollisionChecker(
-    const std::vector<CollisionChecker::PairTerm> &pairs,
-    const std::vector<CollisionChecker::TripleTerm> &triples,
-    const CollisionModel &model)
-    : model_(model)
+    const CollisionChecker &checker)
+    : model_(checker.model())
 {
+    const auto &pairs = checker.pairs();
     pair_a_.reserve(pairs.size());
     pair_b_.reserve(pairs.size());
     for (const auto &p : pairs) {
         pair_a_.push_back(p.a);
         pair_b_.push_back(p.b);
     }
+    const auto &triples = checker.triples();
     tri_j_.reserve(triples.size());
     tri_k_.reserve(triples.size());
     tri_i_.reserve(triples.size());
@@ -33,31 +29,12 @@ BatchCollisionChecker::BatchCollisionChecker(
     }
 }
 
-BatchCollisionChecker::BatchCollisionChecker(
-    const CollisionChecker &checker)
-    : BatchCollisionChecker(checker.pairs(), checker.triples(),
-                            checker.model())
-{
-}
-
 namespace
 {
 
 constexpr std::size_t kLanes = BatchCollisionChecker::kLanes;
 
-#ifndef __AVX2__
-
-/** True once every lane has collided (each byte is 0 or 1). */
-inline bool
-allDead(const unsigned char (&collided)[kLanes])
-{
-    uint64_t word;
-    static_assert(sizeof(word) == sizeof(collided));
-    std::memcpy(&word, collided, sizeof(word));
-    return word == 0x0101010101010101ull;
-}
-
-#else
+#ifdef __AVX2__
 
 /** |x| with the sign bit cleared — exactly std::fabs, lane-wise. */
 inline __m256d
@@ -81,17 +58,16 @@ uint8_t
 BatchCollisionChecker::survivorMask(const double *post,
                                     std::size_t active) const
 {
+#ifdef __AVX2__
     const double d = model_.delta;
     const double t1 = model_.thr1, t2 = model_.thr2, t3 = model_.thr3;
     const double t5 = model_.thr5, t6 = model_.thr6, t7 = model_.thr7;
 
-    // Both implementations repeat the pairConditionMask /
-    // tripleConditionMask expressions verbatim (operand order
-    // included, no contraction-prone rearrangement): any algebraic
-    // change could flip a trial sitting within one ulp of a
-    // threshold and break the bit-identical batch/scalar contract.
-
-#ifdef __AVX2__
+    // The lanes repeat the pairConditionMask / tripleConditionMask
+    // expressions verbatim (operand order included, no
+    // contraction-prone rearrangement): any algebraic change could
+    // flip a trial sitting within one ulp of a threshold and break
+    // the bit-identical batch/scalar contract.
     const __m256d vd = _mm256_set1_pd(d);
     const __m256d vdh = _mm256_set1_pd(d / 2);
     const __m256d vt1 = _mm256_set1_pd(t1);
@@ -192,65 +168,27 @@ BatchCollisionChecker::survivorMask(const double *post,
         (unsigned(_mm256_movemask_pd(dead_hi)) << 4);
     return static_cast<uint8_t>(~dead_bits & ((1u << active) - 1u));
 #else
-    unsigned char collided[kLanes] = {};
-
-    for (std::size_t term = 0; term < pair_a_.size(); ++term) {
-        const double *fa = post + std::size_t(pair_a_[term]) * kLanes;
-        const double *fb = post + std::size_t(pair_b_[term]) * kLanes;
-        for (std::size_t l = 0; l < kLanes; ++l) {
-            const double a = fa[l], b = fb[l];
-            const bool c1 = std::fabs(a - b) < t1;
-            const bool c2 = (std::fabs(a - (b - d / 2)) < t2) |
-                            (std::fabs(b - (a - d / 2)) < t2);
-            const bool c3 = (std::fabs(a - (b - d)) < t3) |
-                            (std::fabs(b - (a - d)) < t3);
-            const bool c4 = (a > b - d) | (b > a - d);
-            collided[l] |=
-                static_cast<unsigned char>(c1 | c2 | c3 | c4);
-        }
-        if (allDead(collided))
-            return 0;
-    }
-    for (std::size_t term = 0; term < tri_j_.size(); ++term) {
-        const double *fj = post + std::size_t(tri_j_[term]) * kLanes;
-        const double *fk = post + std::size_t(tri_k_[term]) * kLanes;
-        const double *fi = post + std::size_t(tri_i_[term]) * kLanes;
-        for (std::size_t l = 0; l < kLanes; ++l) {
-            const double j = fj[l], k = fk[l], i = fi[l];
-            const bool c5 = std::fabs(i - k) < t5;
-            const bool c6 = (std::fabs(i - (k - d)) < t6) |
-                            (std::fabs(k - (i - d)) < t6);
-            const bool c7 = std::fabs(2 * j + d - (k + i)) < t7;
-            collided[l] |= static_cast<unsigned char>(c5 | c6 | c7);
-        }
-        if (allDead(collided))
-            return 0;
-    }
-
+    // Without AVX2 each lane takes the scalar walk's early exit: it
+    // stops at its first colliding term, reading the block in place
+    // through the scalar predicates.
+    auto survives = [&](const double *lane) {
+        auto at = [lane](uint32_t q) {
+            return lane[std::size_t(q) * kLanes];
+        };
+        for (std::size_t term = 0; term < pair_a_.size(); ++term)
+            if (pairCollides(model_, at(pair_a_[term]),
+                             at(pair_b_[term])))
+                return false;
+        for (std::size_t term = 0; term < tri_j_.size(); ++term)
+            if (tripleCollides(model_, at(tri_j_[term]),
+                               at(tri_k_[term]), at(tri_i_[term])))
+                return false;
+        return true;
+    };
     uint8_t mask = 0;
     for (std::size_t l = 0; l < active; ++l)
-        mask |= static_cast<uint8_t>((collided[l] ^ 1u) << l);
+        mask |= static_cast<uint8_t>(unsigned(survives(post + l)) << l);
     return mask;
-#endif
-}
-
-bool
-scalarKernelForced()
-{
-    const char *env = std::getenv("QPAD_SCALAR_KERNEL");
-    return env && *env;
-}
-
-bool
-useBatchedKernel()
-{
-#ifdef __AVX2__
-    return !scalarKernelForced();
-#else
-    // The portable lane loop measures ~2-3x slower than the scalar
-    // oracle (see the file comment); it stays available for the
-    // agreement tests but never as the default execution path.
-    return false;
 #endif
 }
 

@@ -1,37 +1,33 @@
 /**
  * @file
- * Batched structure-of-arrays collision kernel — the hot path of the
- * yield Monte Carlo (estimateYield). Algorithm 3's candidate scan
- * uses neither this kernel nor the scalar walk: it places collision
- * runs on the candidate grid (design::detail::countSurvivors).
+ * Batched structure-of-arrays collision kernel: the survivor tally of
+ * the yield Monte Carlo (estimateYield) on every build. Algorithm 3's
+ * candidate scan uses neither this kernel nor the scalar walk: it
+ * places collision runs on the candidate grid
+ * (design::detail::countSurvivors).
  *
- * The scalar CollisionChecker walks pair/triple terms with early
- * exits: fast for one trial that dies on its first term, but branchy
- * and serial when millions of surviving trials each scan every term.
  * BatchCollisionChecker packs the term endpoints into flat index
  * arrays at construction and evaluates kLanes = 8 Monte Carlo trials
- * at once over a qubit-major frequency block: per term, the eight
- * lane comparisons are straight-line fabs/compare arithmetic with no
- * data-dependent branches, implemented with AVX2 intrinsics when the
- * translation unit is built with -mavx2 (the CMake probe runs an
- * AVX2 snippet on the build host before enabling it). Per-half
- * dead-lane skips and an all-lanes-dead early-out keep the batch
- * ahead of the short-circuiting scalar walk even on zero-yield
- * inputs; bench/bench_collision_batch.cc measures both kernels.
+ * per call over a qubit-major frequency block. When the translation
+ * unit is built with -mavx2 (the CMake probe runs an AVX2 snippet on
+ * the build host before enabling it), per term the eight lane
+ * comparisons are straight-line fabs/compare arithmetic with no
+ * data-dependent branches; per-half dead-lane skips and an
+ * all-lanes-dead early-out keep it ahead of the short-circuiting
+ * scalar walk even on zero-yield inputs. The AVX2 lanes mirror
+ * pairConditionMask / tripleConditionMask expression-for-expression
+ * (same operand order, no algebraic rearrangement).
  *
- * Without AVX2 a portable lane loop is compiled instead. It is the
- * reference implementation the property tests and the bench compare
- * against, but it measures SLOWER than the scalar oracle, so
- * useBatchedKernel() steers the yield paths back to the oracle on
- * such builds — the batch is only the default where it wins.
+ * Without AVX2 each lane takes the scalar walk's early exit instead,
+ * calling pairCollides / tripleCollides on the block in place: the
+ * portable build keeps the scalar walk's speed and has no copy of
+ * the condition expressions of its own.
  *
- * The lane arithmetic mirrors pairConditionMask /
- * tripleConditionMask expression-for-expression — same operand
- * order, no algebraic rearrangement — so the batch and scalar
- * kernels agree bit-for-bit on every trial (tests/test_yield.cc
- * asserts this trial-for-trial, including remainder batches).
- * Setting QPAD_SCALAR_KERNEL non-empty in the environment makes
- * the yield estimate fall back to the scalar oracle.
+ * Either way the kernel agrees bit-for-bit with the scalar
+ * CollisionChecker walk, which stays as the condition-statistics
+ * path and as the oracle: tests/test_yield.cc asserts the agreement
+ * trial-for-trial, including remainder batches, and
+ * bench/bench_collision_batch.cc times both.
  */
 
 #ifndef QPAD_YIELD_COLLISION_BATCH_HH
@@ -52,19 +48,8 @@ class BatchCollisionChecker
     /** Trials evaluated per block. */
     static constexpr std::size_t kLanes = 8;
 
-    BatchCollisionChecker() = default;
-
-    /** Pack explicit term lists (indices address the post block). */
-    BatchCollisionChecker(
-        const std::vector<CollisionChecker::PairTerm> &pairs,
-        const std::vector<CollisionChecker::TripleTerm> &triples,
-        const CollisionModel &model);
-
     /** Pack the terms of a prebuilt scalar checker. */
     explicit BatchCollisionChecker(const CollisionChecker &checker);
-
-    std::size_t numPairs() const { return pair_a_.size(); }
-    std::size_t numTriples() const { return tri_j_.size(); }
 
     /**
      * Flat index of trial t, qubit q in a sequence of kLanes-trial
@@ -83,8 +68,8 @@ class BatchCollisionChecker
      * lane l of qubit q lives at post[q * kLanes + l]. Returns a
      * bitmask with bit l set iff trial l survives all seven
      * conditions; bits >= active are zero. Lanes >= active must
-     * still hold readable doubles (they are evaluated branch-free,
-     * then masked off).
+     * still hold readable doubles (the AVX2 lanes evaluate them
+     * branch-free, then mask them off).
      */
     uint8_t survivorMask(const double *post,
                          std::size_t active = kLanes) const;
@@ -94,21 +79,6 @@ class BatchCollisionChecker
     std::vector<uint32_t> pair_a_, pair_b_;
     std::vector<uint32_t> tri_j_, tri_k_, tri_i_;
 };
-
-/**
- * True when QPAD_SCALAR_KERNEL is set non-empty: the yield paths
- * then use the scalar oracle instead of the batched kernel. Queried
- * per simulation call, so tests can flip it at runtime.
- */
-bool scalarKernelForced();
-
-/**
- * True when the yield hot paths should run the batched kernel: it
- * was compiled with AVX2 lanes (the portable fallback loses to the
- * short-circuiting scalar oracle) and QPAD_SCALAR_KERNEL does not
- * force the oracle.
- */
-bool useBatchedKernel();
 
 } // namespace qpad::yield
 

@@ -9,6 +9,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/seed_seq.hh"
+#include "yield/collision_batch.hh"
 
 namespace qpad::yield
 {
@@ -51,20 +52,11 @@ mergeCounts(ShardCounts acc, const ShardCounts &other)
     return acc;
 }
 
-} // namespace
-
-double
-YieldResult::stderrEstimate() const
-{
-    if (trials == 0)
-        return 0.0;
-    return std::sqrt(yield * (1.0 - yield) / double(trials));
-}
-
+/** The Monte Carlo over a prebuilt checker's terms. */
 YieldResult
-estimateYield(const CollisionChecker &checker,
-              const std::vector<double> &pre_fab_freqs,
-              const YieldOptions &options, const exec::Context &ctx)
+simulate(const CollisionChecker &checker,
+         const std::vector<double> &pre_fab_freqs,
+         const YieldOptions &options, const exec::Context &ctx)
 {
     for (double f : pre_fab_freqs)
         qpad_assert(f > 0.0, "unassigned frequency in yield simulation");
@@ -76,50 +68,16 @@ estimateYield(const CollisionChecker &checker,
     if (options.trials == 0)
         return result;
 
-    // The per-condition statistics need the scalar count walk; plain
-    // success tallies go through the batched SoA kernel, which is
-    // bit-identical (same conditions, same RNG draw order).
-    const bool batched =
-        !options.collect_condition_stats && useBatchedKernel();
-
     // One span + a few counter bumps per *estimate* (never per
     // trial): the Monte Carlo loop itself stays untouched.
     QPAD_SPAN("yield.estimate");
     {
         static obs::Counter &estimates = obs::counter("yield.estimates");
         static obs::Counter &trials = obs::counter("yield.trials");
-        static obs::Counter &batched_runs =
-            obs::counter("yield.batched_estimates");
-        static obs::Counter &scalar_runs =
-            obs::counter("yield.scalar_estimates");
         estimates.add();
         trials.add(options.trials);
-        (batched ? batched_runs : scalar_runs).add();
     }
-    const BatchCollisionChecker batch =
-        batched ? BatchCollisionChecker(checker)
-                : BatchCollisionChecker();
-
-    // Evaluate one trial of the scalar walk (count statistics or
-    // oracle check) on the post-fabrication frequencies in `post`.
-    auto scalarTrial = [&](const std::vector<double> &post,
-                           ShardCounts &local) {
-        if (options.collect_condition_stats) {
-            ConditionCounts counts = checker.countCollisions(post);
-            bool failed = false;
-            for (int c = 1; c <= 7; ++c) {
-                if (counts[c] > 0) {
-                    ++local.condition_trials[c];
-                    failed = true;
-                }
-            }
-            if (!failed)
-                ++local.successes;
-        } else {
-            if (!checker.anyCollision(post))
-                ++local.successes;
-        }
-    };
+    const BatchCollisionChecker batch(checker);
 
     // Each kShardTrials-sized block draws from its own child stream
     // of options.seed; partials merge in shard order. Thread count
@@ -137,9 +95,9 @@ estimateYield(const CollisionChecker &checker,
             // lanes advance even in a remainder block — lanes are
             // independent streams, so discarding the inactive ones
             // cannot disturb draws elsewhere, which is what makes
-            // the tallies remainder-independent. The scalar walk
-            // reads the very same block, so kernel choice never
-            // changes the stream.
+            // the tallies remainder-independent. The condition
+            // statistics walk reads the very same block, so it
+            // reports the same successes as the batched kernel.
             GaussianBlockSampler sampler(seeds.childSeed(shard));
             std::vector<double> block(nq * B);
             std::vector<double> post(nq);
@@ -147,7 +105,7 @@ estimateYield(const CollisionChecker &checker,
                 const std::size_t active = std::min(B, end - t);
                 sampler.fillAffine(block.data(), pre_fab_freqs.data(),
                                    options.sigma_ghz, nq);
-                if (batched) {
+                if (!options.collect_condition_stats) {
                     local.successes += std::size_t(std::popcount(
                         batch.survivorMask(block.data(), active)));
                     continue;
@@ -155,7 +113,17 @@ estimateYield(const CollisionChecker &checker,
                 for (std::size_t l = 0; l < active; ++l) {
                     for (std::size_t q = 0; q < nq; ++q)
                         post[q] = block[q * B + l];
-                    scalarTrial(post, local);
+                    const ConditionCounts counts =
+                        checker.countCollisions(post);
+                    bool failed = false;
+                    for (int c = 1; c <= 7; ++c) {
+                        if (counts[c] > 0) {
+                            ++local.condition_trials[c];
+                            failed = true;
+                        }
+                    }
+                    if (!failed)
+                        ++local.successes;
                 }
             }
             return local;
@@ -168,15 +136,28 @@ estimateYield(const CollisionChecker &checker,
     return result;
 }
 
+} // namespace
+
+double
+YieldResult::stderrEstimate() const
+{
+    if (trials == 0)
+        return 0.0;
+    return std::sqrt(yield * (1.0 - yield) / double(trials));
+}
+
 YieldResult
 estimateYield(const arch::Architecture &arch, const YieldOptions &options,
               const exec::Context &ctx)
 {
+    if (!std::isfinite(options.sigma_ghz) || options.sigma_ghz < 0.0)
+        qpad_fatal("fabrication sigma must be a finite number of GHz "
+                   ">= 0, got ", options.sigma_ghz);
     qpad_assert(arch.frequenciesAssigned(),
                 "architecture '", arch.name(),
                 "' has unassigned frequencies");
     CollisionChecker checker(arch, options.model);
-    return estimateYield(checker, arch.frequencies(), options, ctx);
+    return simulate(checker, arch.frequencies(), options, ctx);
 }
 
 } // namespace qpad::yield

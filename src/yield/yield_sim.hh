@@ -17,7 +17,6 @@
 #include "exec/context.hh"
 #include "runtime/parallel.hh"
 #include "yield/collision.hh"
-#include "yield/collision_batch.hh"
 
 namespace qpad::yield
 {
@@ -27,7 +26,7 @@ struct YieldOptions
 {
     /** Monte Carlo fabrication attempts (paper: 10,000). */
     std::size_t trials = 10000;
-    /** Fabrication precision sigma in GHz (paper: 30 MHz). */
+    /** Fabrication sigma in GHz, finite and >= 0 (paper: 30 MHz). */
     double sigma_ghz = arch::DeviceConstants::default_sigma_ghz;
     /** RNG seed; equal seeds reproduce results exactly. */
     uint64_t seed = 1;
@@ -59,27 +58,18 @@ struct YieldResult
 
 /**
  * Estimate the yield rate of an architecture. All frequencies must
- * be assigned. Trials are evaluated through the batched SoA kernel
- * (BatchCollisionChecker) unless condition statistics are requested
- * or QPAD_SCALAR_KERNEL forces the scalar oracle; both paths draw
- * the same RNG stream in the same order and return bit-identical
- * results. The stream follows the lane draw order of
- * common/gauss_block.hh (kDrawOrderVersion). options.trials == 0
- * returns a zero-trial result (yield 0, stderr 0) instead of
- * dividing by zero.
+ * be assigned, and options.sigma_ghz must be finite and >= 0 (a NaN
+ * sigma would make every collision comparison false). Survivors are
+ * tallied by the batched SoA kernel (BatchCollisionChecker); with
+ * collect_condition_stats the scalar CollisionChecker walk counts
+ * the conditions over the very same sampler blocks, so both views
+ * report bit-identical successes. The stream follows the lane draw
+ * order of common/gauss_block.hh (kDrawOrderVersion).
+ * options.trials == 0 returns a zero-trial result (yield 0, stderr
+ * 0) instead of dividing by zero.
  */
 YieldResult
 estimateYield(const arch::Architecture &arch,
-              const YieldOptions &options = {},
-              const exec::Context &ctx = exec::Context::none());
-
-/**
- * Same, reusing a prebuilt checker; the Architecture overload builds
- * one and calls this.
- */
-YieldResult
-estimateYield(const CollisionChecker &checker,
-              const std::vector<double> &pre_fab_freqs,
               const YieldOptions &options = {},
               const exec::Context &ctx = exec::Context::none());
 

@@ -17,7 +17,6 @@
 #include "design/design_flow.hh"
 #include "freq_alloc_oracle.hh"
 #include "profile/coupling.hh"
-#include "scoped_scalar_kernel.hh"
 #include "yield/yield_sim.hh"
 
 namespace
@@ -306,14 +305,13 @@ TEST(FreqAlloc, DeterministicForEqualSeeds)
     EXPECT_EQ(a.freqs, b.freqs);
 }
 
-TEST(FreqAlloc, ScalarKernelEnvIsBitIdentical)
+TEST(FreqAlloc, MaskScanMatchesOracleScan)
 {
     // The interval-mask scan must commit the exact frequencies and
     // scores of the reference scan over the scalar predicates; any
     // count divergence would surface as a different argmax or score
     // somewhere in the sweep. 301 trials split unevenly over the
-    // workers; the 5 MHz grid needs two mask words. The scan has no
-    // kernel switch, so QPAD_SCALAR_KERNEL must change nothing.
+    // workers; the 5 MHz grid needs two mask words.
     Architecture arch(Layout::grid(2, 4));
     arch.addFourQubitBus({0, 1});
     FreqAllocOptions opts;
@@ -325,12 +323,6 @@ TEST(FreqAlloc, ScalarKernelEnvIsBitIdentical)
             arch, opts, exec::Context::none(), &test::oracleSurvivors);
         EXPECT_EQ(masked.freqs, oracle.freqs) << step;
         EXPECT_EQ(masked.local_scores, oracle.local_scores) << step;
-        FreqAllocResult forced_env;
-        {
-            qpad::test::ScopedScalarKernel forced;
-            forced_env = allocateFrequencies(arch, opts);
-        }
-        EXPECT_EQ(masked.freqs, forced_env.freqs) << step;
     }
 }
 
@@ -349,6 +341,23 @@ TEST(FreqAlloc, RejectsNonPositiveOrNonFiniteGridStep)
         EXPECT_THROW(design::detail::candidateGrid(step), std::runtime_error)
             << step;
     }
+}
+
+TEST(FreqAlloc, RejectsNanOrNegativeSigma)
+{
+    // With a NaN sigma no collision comparison fires: every candidate
+    // would score 1.0 and every qubit would sit at the band floor.
+    Architecture arch(Layout::grid(2, 3));
+    FreqAllocOptions opts;
+    opts.local_trials = 10;
+    for (double sigma : {std::numeric_limits<double>::quiet_NaN(),
+                         -0.03, std::numeric_limits<double>::infinity()}) {
+        opts.sigma_ghz = sigma;
+        EXPECT_THROW(allocateFrequencies(arch, opts), std::runtime_error)
+            << sigma;
+    }
+    opts.sigma_ghz = 0.0;
+    EXPECT_NO_THROW(allocateFrequencies(arch, opts));
 }
 
 // --------------------------------------------------------------------

@@ -26,7 +26,6 @@
 #include "common/rng.hh"
 #include "design/freq_alloc.hh"
 #include "freq_alloc_oracle.hh"
-#include "scoped_scalar_kernel.hh"
 #include "yield/yield_sim.hh"
 
 namespace
@@ -34,7 +33,6 @@ namespace
 
 using namespace qpad;
 using arch::Architecture;
-using test::ScopedScalarKernel;
 
 constexpr std::size_t B = GaussianBlockSampler::kLanes;
 
@@ -199,10 +197,10 @@ TEST(YieldScheme, V2BitIdenticalAcrossThreadCounts)
 
 TEST(YieldScheme, V2KernelChoiceNeverChangesTallies)
 {
-    // Batched SoA kernel vs forced scalar oracle vs the
-    // condition-stats walk (always scalar): all three read the same
-    // sampler blocks, so successes must agree bit for bit at every
-    // batch remainder, including sub-lane trial counts.
+    // Batched SoA kernel vs the condition-stats walk (the scalar
+    // oracle): both read the same sampler blocks, so successes must
+    // agree bit for bit at every batch remainder, including sub-lane
+    // trial counts.
     auto arch = arch::ibm16Q(true);
     for (std::size_t trials :
          {std::size_t{1}, std::size_t{5}, std::size_t{8},
@@ -211,14 +209,8 @@ TEST(YieldScheme, V2KernelChoiceNeverChangesTallies)
         opts.trials = trials;
         opts.seed = 7;
         const auto batched = estimateYield(arch, opts);
-        yield::YieldResult scalar;
-        {
-            ScopedScalarKernel forced;
-            scalar = estimateYield(arch, opts);
-        }
         opts.collect_condition_stats = true;
         const auto stats = estimateYield(arch, opts);
-        EXPECT_EQ(batched.successes, scalar.successes) << trials;
         EXPECT_EQ(batched.successes, stats.successes) << trials;
     }
 }
@@ -226,10 +218,11 @@ TEST(YieldScheme, V2KernelChoiceNeverChangesTallies)
 TEST(YieldScheme, V2GoldenTalliesIdenticalOnEveryBuild)
 {
     // Captured once on the AVX2 build: the CI matrix re-runs this on
-    // the portable build (where the yield path takes the scalar walk
-    // over the very same sampler blocks), so any backend divergence
-    // — sampler or kernel — fails here. A change to these values is
-    // a change of draw order and must bump kDrawOrderVersion.
+    // the portable build (where the batched kernel takes its per-lane
+    // early-exit walk over the very same sampler blocks), so any
+    // backend divergence — sampler or kernel — fails here. A change
+    // to these values is a change of draw order and must bump
+    // kDrawOrderVersion.
     auto arch = arch::ibm16Q(false);
     yield::YieldOptions opts;
     opts.trials = 4999;

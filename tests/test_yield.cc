@@ -8,11 +8,13 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "arch/ibm.hh"
 #include "common/rng.hh"
-#include "scoped_scalar_kernel.hh"
+#include "yield/collision_batch.hh"
 #include "yield/yield_sim.hh"
 
 namespace
@@ -24,8 +26,6 @@ using arch::Architecture;
 using arch::Layout;
 
 const CollisionModel kModel{};
-
-using qpad::test::ScopedScalarKernel;
 
 // --------------------------------------------------------------------
 // Pair conditions 1-4
@@ -253,23 +253,39 @@ TEST(YieldSim, ZeroTrialsReturnZeroTrialResult)
     EXPECT_DOUBLE_EQ(r.stderrEstimate(), 0.0);
 }
 
-TEST(YieldSim, ScalarKernelEnvIsBitIdentical)
+TEST(YieldSim, BatchedTallyMatchesStatsWalk)
 {
-    // 4999 trials: full 1024-trial shards plus a 903-trial tail whose
-    // last batch has 7 active lanes, so the remainder path is on the
-    // line too.
+    // The condition-statistics run tallies through the scalar walk
+    // over the very same sampler blocks, so it is the oracle for the
+    // batched survivor tally. 4999 trials: full 1024-trial shards
+    // plus a 903-trial tail whose last batch has 7 active lanes, so
+    // the remainder path is on the line too.
     auto arch = arch::ibm16Q(true);
     YieldOptions opts;
     opts.trials = 4999;
     opts.seed = 11;
     const auto batched = estimateYield(arch, opts);
-    YieldResult scalar;
-    {
-        ScopedScalarKernel forced;
-        scalar = estimateYield(arch, opts);
+    opts.collect_condition_stats = true;
+    const auto stats = estimateYield(arch, opts);
+    EXPECT_EQ(batched.successes, stats.successes);
+    EXPECT_DOUBLE_EQ(batched.yield, stats.yield);
+}
+
+TEST(YieldSim, RejectsNanOrNegativeSigma)
+{
+    // Every comparison with NaN is false, so a NaN sigma would pass
+    // every trial and report yield 1.0.
+    auto arch = arch::ibm16Q(true);
+    YieldOptions opts;
+    opts.trials = 64;
+    for (double sigma : {std::numeric_limits<double>::quiet_NaN(),
+                         -0.03, std::numeric_limits<double>::infinity()}) {
+        opts.sigma_ghz = sigma;
+        EXPECT_THROW(estimateYield(arch, opts), std::runtime_error)
+            << sigma;
     }
-    EXPECT_EQ(batched.successes, scalar.successes);
-    EXPECT_DOUBLE_EQ(batched.yield, scalar.yield);
+    opts.sigma_ghz = 0.0;
+    EXPECT_NO_THROW(estimateYield(arch, opts));
 }
 
 // --------------------------------------------------------------------
