@@ -130,6 +130,8 @@ execOptions()
  * unset/empty (no deadline). Same strictness as the other knobs:
  * digits only, and 0 itself is rejected — an always-expired deadline
  * is never what the user meant, and 0 is the "unset" sentinel here.
+ * So is a budget whose nanosecond count overflows: it would wrap to
+ * a deadline in the past and stop the run at once.
  */
 inline std::uint64_t
 deadlineMs()
@@ -147,6 +149,14 @@ deadlineMs()
     if (errno == ERANGE || *end != '\0' || v == 0)
         dieOnEnv("QPAD_DEADLINE_MS", ms,
                  "expected a positive integer of milliseconds");
+    constexpr unsigned long long kMaxMs =
+        std::chrono::nanoseconds::max().count() / 1000000;
+    if (v > kMaxMs) {
+        const std::string expected =
+            "expected at most " + std::to_string(kMaxMs) +
+            " milliseconds";
+        dieOnEnv("QPAD_DEADLINE_MS", ms, expected.c_str());
+    }
     return std::uint64_t(v);
 }
 

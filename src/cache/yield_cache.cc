@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -21,9 +22,11 @@ std::mutex g_store_mutex;
 std::unique_ptr<Store> g_store;
 
 /** Strict nonnegative-integer env parse (bench_common convention:
- * malformed values fail loudly instead of being coerced). */
+ * malformed values fail loudly instead of being coerced), at most
+ * `max` so the caller's narrowing cast cannot wrap. */
 uint64_t
-parseEnvUint(const char *name, const char *value)
+parseEnvUint(const char *name, const char *value,
+             uint64_t max = UINT64_MAX)
 {
     for (const char *c = value; *c; ++c)
         if (!std::isdigit(static_cast<unsigned char>(*c)))
@@ -32,11 +35,16 @@ parseEnvUint(const char *name, const char *value)
     errno = 0;
     char *end = nullptr;
     const unsigned long long v = std::strtoull(value, &end, 10);
-    if (errno == ERANGE || *end != '\0')
+    if (errno == ERANGE || *end != '\0' || v > max)
         qpad_fatal("invalid ", name, " value '", value,
-                   "' (out of range)");
+                   "' (out of range, at most ", max, ")");
     return v;
 }
+
+} // namespace
+
+namespace detail
+{
 
 CacheOptions
 optionsFromEnv()
@@ -70,13 +78,19 @@ optionsFromEnv()
     if (const char *factor = std::getenv("QPAD_CACHE_COMPACT");
         factor && *factor)
         options.compact_factor =
-            uint32_t(parseEnvUint("QPAD_CACHE_COMPACT", factor));
+            uint32_t(parseEnvUint("QPAD_CACHE_COMPACT", factor,
+                                  UINT32_MAX));
     if (const char *ms = std::getenv("QPAD_CACHE_LOCK_MS");
         ms && *ms)
         options.lock_timeout_ms =
-            uint32_t(parseEnvUint("QPAD_CACHE_LOCK_MS", ms));
+            uint32_t(parseEnvUint("QPAD_CACHE_LOCK_MS", ms, UINT32_MAX));
     return options;
 }
+
+} // namespace detail
+
+namespace
+{
 
 std::vector<uint8_t>
 encodeYieldResult(const yield::YieldResult &result)
@@ -171,7 +185,7 @@ globalStore()
 {
     std::lock_guard<std::mutex> lock(g_store_mutex);
     if (!g_store)
-        g_store = std::make_unique<Store>(optionsFromEnv());
+        g_store = std::make_unique<Store>(detail::optionsFromEnv());
     return *g_store;
 }
 

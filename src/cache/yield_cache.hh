@@ -37,6 +37,16 @@ namespace qpad::cache
  * use; never null). */
 Store &globalStore();
 
+namespace detail
+{
+
+/** The CacheOptions the QPAD_CACHE* environment selects, as the
+ * global store reads them on first use; a malformed or out-of-range
+ * value raises qpad_fatal. */
+CacheOptions optionsFromEnv();
+
+} // namespace detail
+
 /** Replace the global store (tests/benches). */
 void configureGlobalCache(const CacheOptions &options);
 

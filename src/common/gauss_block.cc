@@ -1,13 +1,8 @@
 #include "common/gauss_block.hh"
 
-#include "common/rng.hh"
+#include <cstring>
 
-#ifdef __AVX2__
-#include <immintrin.h>
-#else
-#include <bit>
-#include <cmath>
-#endif
+#include "common/rng.hh"
 
 namespace qpad
 {
@@ -18,154 +13,170 @@ namespace
 constexpr std::size_t kL = GaussianBlockSampler::kLanes;
 
 // --------------------------------------------------------------------
-// 8-wide vector backend. Exactly one implementation of every
-// arithmetic op per build: AVX2 intrinsics with -mavx2, a portable
-// lane loop otherwise. Every op is an IEEE-754 correctly-rounded
-// primitive (or an exact bit/integer operation), and the shared
-// transform bodies below apply them in one fixed order, so the two
-// backends produce bit-identical streams. This file is compiled
-// with -ffp-contract=off (see CMakeLists.txt): a fused
-// multiply-add would round differently and break the cross-build
-// contract.
+// 8-wide vector layer on GCC vector extensions: each vector is
+// two 4-lane halves, so every op below lowers to one AVX2
+// instruction per half with -mavx2 and to SSE2 pairs otherwise
+// (one 8-wide vector_size(64) type would scalarize the compares
+// without AVX-512). Every op is an IEEE-754 correctly-rounded
+// primitive (or an exact bit/integer operation), and the transform
+// bodies below apply them in one fixed order, so every build
+// produces the same bits. This file is compiled with
+// -ffp-contract=off (see CMakeLists.txt): a fused multiply-add would
+// round differently and break the cross-build contract.
 // --------------------------------------------------------------------
 
-#ifdef __AVX2__
+using D4 = double __attribute__((vector_size(32)));
+using U4 = uint64_t __attribute__((vector_size(32)));
+using I4 = int64_t __attribute__((vector_size(32)));
 
 struct VecD
 {
-    __m256d lo, hi;
+    D4 lo, hi;
 };
 
 struct VecU
 {
-    __m256i lo, hi;
+    U4 lo, hi;
 };
 
+// A brace list, not VecD{} + x: adding -0.0 to +0.0 gives +0.0.
 inline VecD
 splat(double x)
 {
-    return {_mm256_set1_pd(x), _mm256_set1_pd(x)};
+    const D4 v = {x, x, x, x};
+    return {v, v};
 }
 
 inline VecU
 splatU(uint64_t x)
 {
-    const __m256i v = _mm256_set1_epi64x(int64_t(x));
+    const U4 v = {x, x, x, x};
     return {v, v};
 }
 
 inline VecD
 vadd(VecD a, VecD b)
 {
-    return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+    return {a.lo + b.lo, a.hi + b.hi};
 }
 
 inline VecD
 vsub(VecD a, VecD b)
 {
-    return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
+    return {a.lo - b.lo, a.hi - b.hi};
 }
 
 inline VecD
 vmul(VecD a, VecD b)
 {
-    return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
+    return {a.lo * b.lo, a.hi * b.hi};
 }
 
 inline VecD
 vdiv(VecD a, VecD b)
 {
-    return {_mm256_div_pd(a.lo, b.lo), _mm256_div_pd(a.hi, b.hi)};
+    return {a.lo / b.lo, a.hi / b.hi};
 }
 
+// sqrt and floor have no vector operator. With -fno-math-errno
+// -fno-trapping-math (CMakeLists.txt) these lane loops vectorize to
+// sqrtpd, and floor to roundpd under AVX2 (SSE2 has no vector floor;
+// there it stays an inline per-lane sequence).
 inline VecD
 vsqrt(VecD a)
 {
-    return {_mm256_sqrt_pd(a.lo), _mm256_sqrt_pd(a.hi)};
+    for (int l = 0; l < 4; ++l) {
+        a.lo[l] = __builtin_sqrt(a.lo[l]);
+        a.hi[l] = __builtin_sqrt(a.hi[l]);
+    }
+    return a;
 }
 
 inline VecD
 vfloor(VecD a)
 {
-    return {_mm256_floor_pd(a.lo), _mm256_floor_pd(a.hi)};
+    for (int l = 0; l < 4; ++l) {
+        a.lo[l] = __builtin_floor(a.lo[l]);
+        a.hi[l] = __builtin_floor(a.hi[l]);
+    }
+    return a;
 }
 
-/** Lane mask, all-ones where a < b (ordered quiet compare). */
+/** Lane mask, all-ones where a < b (ordered compare). */
 inline VecD
 vlt(VecD a, VecD b)
 {
-    return {_mm256_cmp_pd(a.lo, b.lo, _CMP_LT_OQ),
-            _mm256_cmp_pd(a.hi, b.hi, _CMP_LT_OQ)};
+    return {(D4)(a.lo < b.lo), (D4)(a.hi < b.hi)};
 }
 
 /** mask-sign-bit ? a : b (masks here are all-ones or all-zero). */
 inline VecD
 vblend(VecD mask, VecD a, VecD b)
 {
-    return {_mm256_blendv_pd(b.lo, a.lo, mask.lo),
-            _mm256_blendv_pd(b.hi, a.hi, mask.hi)};
-}
-
-inline VecD
-vand(VecD a, VecD b)
-{
-    return {_mm256_and_pd(a.lo, b.lo), _mm256_and_pd(a.hi, b.hi)};
-}
-
-inline VecD
-vxor(VecD a, VecD b)
-{
-    return {_mm256_xor_pd(a.lo, b.lo), _mm256_xor_pd(a.hi, b.hi)};
+    return {(I4)mask.lo < 0 ? a.lo : b.lo,
+            (I4)mask.hi < 0 ? a.hi : b.hi};
 }
 
 inline VecU
 toBits(VecD a)
 {
-    return {_mm256_castpd_si256(a.lo), _mm256_castpd_si256(a.hi)};
+    return {(U4)a.lo, (U4)a.hi};
 }
 
 inline VecD
 fromBits(VecU a)
 {
-    return {_mm256_castsi256_pd(a.lo), _mm256_castsi256_pd(a.hi)};
+    return {(D4)a.lo, (D4)a.hi};
 }
 
 inline VecU
 uxor(VecU a, VecU b)
 {
-    return {_mm256_xor_si256(a.lo, b.lo), _mm256_xor_si256(a.hi, b.hi)};
+    return {a.lo ^ b.lo, a.hi ^ b.hi};
 }
 
 inline VecU
 uor(VecU a, VecU b)
 {
-    return {_mm256_or_si256(a.lo, b.lo), _mm256_or_si256(a.hi, b.hi)};
+    return {a.lo | b.lo, a.hi | b.hi};
 }
 
 inline VecU
 uand(VecU a, VecU b)
 {
-    return {_mm256_and_si256(a.lo, b.lo), _mm256_and_si256(a.hi, b.hi)};
+    return {a.lo & b.lo, a.hi & b.hi};
 }
 
 inline VecU
 uadd(VecU a, VecU b)
 {
-    return {_mm256_add_epi64(a.lo, b.lo), _mm256_add_epi64(a.hi, b.hi)};
+    return {a.lo + b.lo, a.hi + b.hi};
+}
+
+inline VecD
+vand(VecD a, VecD b)
+{
+    return fromBits(uand(toBits(a), toBits(b)));
+}
+
+inline VecD
+vxor(VecD a, VecD b)
+{
+    return fromBits(uxor(toBits(a), toBits(b)));
 }
 
 template <int K>
 inline VecU
 ushl(VecU a)
 {
-    return {_mm256_slli_epi64(a.lo, K), _mm256_slli_epi64(a.hi, K)};
+    return {a.lo << K, a.hi << K};
 }
 
 template <int K>
 inline VecU
 ushr(VecU a)
 {
-    return {_mm256_srli_epi64(a.lo, K), _mm256_srli_epi64(a.hi, K)};
+    return {a.lo >> K, a.hi >> K};
 }
 
 /** Exact double(x) for unsigned lanes x < 2^52 (magic-number add). */
@@ -179,8 +190,8 @@ smallU64ToDouble(VecU x)
 /**
  * (raw >> 11) * 2^-53 in [0, 1) — the Rng::uniform conversion. The
  * 53-bit integer is split into exactly-convertible halves; the
- * recombination hi * 2^32 + lo is exact, so the value matches the
- * scalar backend's direct double() conversion bit for bit.
+ * recombination hi * 2^32 + lo is exact, so the value matches
+ * Rng::uniform's direct double() conversion bit for bit.
  */
 inline VecD
 unitFromBits(VecU raw)
@@ -195,291 +206,42 @@ unitFromBits(VecU raw)
 inline VecU
 loadU(const uint64_t *p)
 {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + 4))};
-}
-
-inline void
-storeU(uint64_t *p, VecU a)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), a.lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p + 4), a.hi);
-}
-
-inline VecD
-loadD(const double *p)
-{
-    return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
-}
-
-inline void
-storeD(double *p, VecD a)
-{
-    _mm256_storeu_pd(p, a.lo);
-    _mm256_storeu_pd(p + 4, a.hi);
-}
-
-#else // portable fallback: same ops, one double per lane
-
-struct VecD
-{
-    double v[kL];
-};
-
-struct VecU
-{
-    uint64_t v[kL];
-};
-
-inline VecD
-splat(double x)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = x;
-    return r;
-}
-
-inline VecU
-splatU(uint64_t x)
-{
     VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = x;
-    return r;
-}
-
-inline VecD
-vadd(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] + b.v[l];
-    return r;
-}
-
-inline VecD
-vsub(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] - b.v[l];
-    return r;
-}
-
-inline VecD
-vmul(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] * b.v[l];
-    return r;
-}
-
-inline VecD
-vdiv(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] / b.v[l];
-    return r;
-}
-
-inline VecD
-vsqrt(VecD a)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::sqrt(a.v[l]);
-    return r;
-}
-
-inline VecD
-vfloor(VecD a)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::floor(a.v[l]);
-    return r;
-}
-
-inline VecD
-vlt(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] < b.v[l]
-                     ? std::bit_cast<double>(~uint64_t{0})
-                     : 0.0;
-    return r;
-}
-
-inline VecD
-vblend(VecD mask, VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = (std::bit_cast<uint64_t>(mask.v[l]) >> 63) ? a.v[l]
-                                                            : b.v[l];
-    return r;
-}
-
-inline VecD
-vand(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<double>(std::bit_cast<uint64_t>(a.v[l]) &
-                                       std::bit_cast<uint64_t>(b.v[l]));
-    return r;
-}
-
-inline VecD
-vxor(VecD a, VecD b)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<double>(std::bit_cast<uint64_t>(a.v[l]) ^
-                                       std::bit_cast<uint64_t>(b.v[l]));
-    return r;
-}
-
-inline VecU
-toBits(VecD a)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<uint64_t>(a.v[l]);
-    return r;
-}
-
-inline VecD
-fromBits(VecU a)
-{
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = std::bit_cast<double>(a.v[l]);
-    return r;
-}
-
-inline VecU
-uxor(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] ^ b.v[l];
-    return r;
-}
-
-inline VecU
-uor(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] | b.v[l];
-    return r;
-}
-
-inline VecU
-uand(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] & b.v[l];
-    return r;
-}
-
-inline VecU
-uadd(VecU a, VecU b)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] + b.v[l];
-    return r;
-}
-
-template <int K>
-inline VecU
-ushl(VecU a)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] << K;
-    return r;
-}
-
-template <int K>
-inline VecU
-ushr(VecU a)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = a.v[l] >> K;
-    return r;
-}
-
-inline VecD
-smallU64ToDouble(VecU x)
-{
-    // double() is exact below 2^53, a fortiori below 2^52.
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = double(x.v[l]);
-    return r;
-}
-
-inline VecD
-unitFromBits(VecU raw)
-{
-    // double(m) is exact for the 53-bit m, which equals the AVX2
-    // backend's hi * 2^32 + lo recombination bit for bit.
-    VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = double(raw.v[l] >> 11) * 0x1.0p-53;
-    return r;
-}
-
-inline VecU
-loadU(const uint64_t *p)
-{
-    VecU r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = p[l];
+    std::memcpy(&r.lo, p, sizeof r.lo);
+    std::memcpy(&r.hi, p + 4, sizeof r.hi);
     return r;
 }
 
 inline void
 storeU(uint64_t *p, VecU a)
 {
-    for (std::size_t l = 0; l < kL; ++l)
-        p[l] = a.v[l];
+    std::memcpy(p, &a.lo, sizeof a.lo);
+    std::memcpy(p + 4, &a.hi, sizeof a.hi);
 }
 
 inline VecD
 loadD(const double *p)
 {
     VecD r;
-    for (std::size_t l = 0; l < kL; ++l)
-        r.v[l] = p[l];
+    std::memcpy(&r.lo, p, sizeof r.lo);
+    std::memcpy(&r.hi, p + 4, sizeof r.hi);
     return r;
 }
 
 inline void
 storeD(double *p, VecD a)
 {
-    for (std::size_t l = 0; l < kL; ++l)
-        p[l] = a.v[l];
+    std::memcpy(p, &a.lo, sizeof a.lo);
+    std::memcpy(p + 4, &a.hi, sizeof a.hi);
 }
-
-#endif
 
 // --------------------------------------------------------------------
-// Shared transform bodies (backend-independent op sequences)
+// Transform bodies, forced inline: a vector handed to an out-of-line
+// call goes through memory, which slows the sampler about 1.6x.
 // --------------------------------------------------------------------
 
 /** One xoshiro256** step for all lanes (interleaved state words). */
-inline VecU
+[[gnu::always_inline]] inline VecU
 xoshiroNext(VecU s[4])
 {
     // result = rotl(s1 * 5, 7) * 9; the multiplications by 5 and 9
@@ -511,7 +273,7 @@ xoshiroNext(VecU s[4])
  * hi/lo split of ln 2: e * ln2_hi is exact because ln2_hi carries
  * 20 trailing zero bits and |e| <= 1074.
  */
-inline VecD
+[[gnu::always_inline]] inline VecD
 vlogUnit(VecD x)
 {
     const VecU bits = toBits(x);
@@ -551,7 +313,7 @@ vlogUnit(VecD x)
  * exact), then the Cephes sin/cos minimax polynomials on
  * |x| <= pi/4.
  */
-inline void
+[[gnu::always_inline]] inline void
 vsincos2pi(VecD u, VecD &sin_out, VecD &cos_out)
 {
     const VecD a = vmul(u, splat(4.0)); // exact: power-of-two scale
@@ -598,7 +360,7 @@ vsincos2pi(VecD u, VecD &sin_out, VecD &cos_out)
  * z1 = r sin(theta) — the same convention as Rng::gaussian(), which
  * returns the cosine deviate first and caches the sine one.
  */
-inline void
+[[gnu::always_inline]] inline void
 gaussPair(VecU s[4], VecD &z0, VecD &z1)
 {
     const VecD u1 = vsub(splat(1.0), unitFromBits(xoshiroNext(s)));

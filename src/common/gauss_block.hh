@@ -8,17 +8,17 @@
  * sampler seed, see Rng::childSeed) and converts their output to
  * standard normal deviates with a batched Box-Muller transform. The
  * log/sin/cos evaluations use fixed polynomial kernels (Cephes
- * minimax coefficients) written against a small 8-wide vector
- * abstraction with exactly one implementation of each arithmetic op
- * per backend: AVX2 intrinsics when the translation unit is built
- * with -mavx2 (the same run-on-host CMake probe as the batched
- * collision kernel), a portable scalar loop otherwise. Every op in
- * the pipeline is an IEEE-754 correctly-rounded primitive (add, sub,
- * mul, div, sqrt, floor, integer bit ops) applied in an identical
- * order by both backends, and the file is compiled with
+ * minimax coefficients) written against a small 8-wide vector layer
+ * with exactly one definition of each arithmetic op, on GCC
+ * vector extensions: the compiler lowers it to AVX2 when the
+ * translation unit is built with -mavx2 (the same run-on-host CMake
+ * probe as the batched collision kernel) and to SSE2 otherwise.
+ * Every op in the pipeline is an IEEE-754 correctly-rounded
+ * primitive (add, sub, mul, div, sqrt, floor, integer bit ops)
+ * applied in one fixed order, and the file is compiled with
  * -ffp-contract=off, so the sampled bits are identical on AVX2 and
  * non-AVX2 builds. tests/test_gauss_block.cc pins golden bit
- * patterns to keep both backends honest.
+ * patterns on both.
  *
  * Draw-order contract (kDrawOrderVersion, see also common/rng.hh):
  * lane l produces an autonomous stream of deviates; a fill of n rows
@@ -74,7 +74,7 @@ class GaussianBlockSampler
     /**
      * Same draws as fillStandard, stored as
      * out[r * kLanes + l] = means[r] + sigma * z, computed in that
-     * exact expression order on both backends. The underlying
+     * exact expression order on every build. The underlying
      * standard normals (and the carried odd-row partner) are
      * unaffected by `means`/`sigma`, so mixed-parameter fills stay
      * composable.

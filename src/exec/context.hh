@@ -4,13 +4,14 @@
  *
  * A `Context` bundles what one request carries through every layer
  * of the system: a shared cancellation token (explicit cancel + an
- * absolute steady-clock deadline, see exec/cancel.hh), the
- * `runtime::Options` thread budget, and an observability scope
- * (`RequestScope`). The compute entry points — `estimateYield`,
- * `allocateFrequencies`, `annealLayout`, `designArchitecture`,
- * `eval::measure` / `runBenchmark`, and the cached front ends — all
- * take a trailing `const Context&` defaulting to `Context::none()`,
- * so existing call sites keep compiling and pay nothing.
+ * absolute steady-clock deadline, see exec/cancel.hh), a request id
+ * that apply() stamps on callee `runtime::Options`, and an
+ * observability scope (`RequestScope`). The compute entry points —
+ * `estimateYield`, `allocateFrequencies`, `annealLayout`,
+ * `designArchitecture`, `eval::measure` / `runBenchmark`, and the
+ * cached front ends — all take a trailing `const Context&`
+ * defaulting to `Context::none()`, so existing call sites keep
+ * compiling and pay nothing.
  *
  * Determinism contract: a context decides only *whether* a result
  * exists, never its bytes. Any run that completes under a context is
@@ -70,10 +71,6 @@ class Context
      */
     uint64_t id() const { return id_; }
 
-    /** Thread budget this request runs under; merged into callee
-     * options via apply(). */
-    runtime::Options options;
-
     /** The underlying token (never null); what Options::cancel
      * points at after apply(). */
     CancelToken *token() const { return state_.get(); }
@@ -89,10 +86,15 @@ class Context
         state_->setDeadline(deadline);
     }
 
-    /** Convenience: deadline = exec::now() + budget. */
+    /** Convenience: deadline = exec::now() + budget. A budget past
+     * the clock's range saturates to no deadline instead of wrapping
+     * into the past. */
     void setDeadlineAfter(std::chrono::nanoseconds budget) const
     {
-        state_->setDeadline(now() + budget);
+        const TimePoint start = now();
+        state_->setDeadline(budget >= TimePoint::max() - start
+                                ? TimePoint::max()
+                                : start + budget);
     }
 
     StopReason stopReason() const { return state_->stopReason(); }

@@ -11,9 +11,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -595,6 +597,32 @@ TEST(Store, UnknownHeaderStartsFresh)
     cache::Store reopened(options);
     EXPECT_EQ(reopened.stats().disk_loaded, 1u);
     fs::remove_all(dir);
+}
+
+// --------------------------------------------------------------------
+// Environment configuration
+// --------------------------------------------------------------------
+
+TEST(CacheEnv, Uint32KnobsRejectValuesPastUint32Max)
+{
+    // Both knobs are uint32_t fields: 2^32 would wrap to a zero-wait
+    // lock and 2^32 + 1 to a compaction factor of 1.
+    for (const char *name : {"QPAD_CACHE_COMPACT", "QPAD_CACHE_LOCK_MS"}) {
+        for (const char *value : {"4294967296", "4294967297"}) {
+            ::setenv(name, value, 1);
+            EXPECT_THROW(cache::detail::optionsFromEnv(),
+                         std::runtime_error)
+                << name << "=" << value;
+        }
+        ::unsetenv(name);
+    }
+    ::setenv("QPAD_CACHE_COMPACT", "4294967295", 1);
+    ::setenv("QPAD_CACHE_LOCK_MS", "4294967295", 1);
+    const cache::CacheOptions options = cache::detail::optionsFromEnv();
+    EXPECT_EQ(options.compact_factor, 4294967295u);
+    EXPECT_EQ(options.lock_timeout_ms, 4294967295u);
+    ::unsetenv("QPAD_CACHE_COMPACT");
+    ::unsetenv("QPAD_CACHE_LOCK_MS");
 }
 
 // --------------------------------------------------------------------

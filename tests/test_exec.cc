@@ -124,6 +124,19 @@ TEST(Context, SetDeadlineAfterZeroBudgetExpires)
     EXPECT_EQ(ctx.stopReason(), StopReason::kDeadlineExceeded);
 }
 
+TEST(Context, SetDeadlineAfterHugeBudgetNeverExpires)
+{
+    // now() + budget would wrap into the past; it saturates instead.
+    Context ctx;
+    ctx.setDeadlineAfter(std::chrono::nanoseconds::max());
+    EXPECT_EQ(ctx.stopReason(), StopReason::kNone);
+    // The largest QPAD_DEADLINE_MS the benches accept.
+    Context bench_max;
+    bench_max.setDeadlineAfter(std::chrono::milliseconds(
+        std::chrono::nanoseconds::max().count() / 1000000));
+    EXPECT_EQ(bench_max.stopReason(), StopReason::kNone);
+}
+
 TEST(Context, ApplyAttachesTokenOnlyWhenUnset)
 {
     Context ctx;
